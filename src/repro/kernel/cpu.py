@@ -1,37 +1,24 @@
 """Simulated CPU pool (the unbounded-machine latency model).
 
-The kernel can model either an unbounded number of processors (pure
-latency model — simulated work by different processes overlaps freely) or
-a finite machine.  The unbounded case is handled here by time
-reservation; finite machines are scheduled by the SMP virtual machine in
-:mod:`repro.kernel.sched` (per-CPU runqueues, scheduling classes,
-node-local domains), which replaced the old single priority-queue grant
-scheduler.
-
-Acquisition is non-preemptive.  Ordering among processes that contend at
-the same virtual instant is provided by the kernel's event queue, which
-dispatches by (time, priority, fifo); the pool itself just tracks
-availability times.
+On an unbounded machine simulated work by different processes overlaps
+freely: every acquisition starts at once.  Finite machines are
+scheduled by the SMP virtual machine in :mod:`repro.kernel.sched`
+(per-CPU runqueues, scheduling classes, node-local domains); the pool
+only records their CPU count for reporting.
 """
 
 from __future__ import annotations
 
-import heapq
-
 
 class CpuPool:
-    """Tracks the availability times of a fixed set of CPUs."""
+    """The machine's CPU count plus busy-time accounting for unbounded work."""
 
-    __slots__ = ("count", "_free_at", "busy_ticks")
+    __slots__ = ("count", "busy_ticks")
 
     def __init__(self, count: int | None) -> None:
         if count is not None and count < 1:
             raise ValueError(f"cpu count must be >= 1 or None, got {count}")
         self.count = count
-        # Min-heap of times at which each CPU becomes free.
-        self._free_at: list[int] = [0] * count if count else []
-        if count:
-            heapq.heapify(self._free_at)
         #: Total busy ticks accumulated (for utilization reporting).
         self.busy_ticks = 0
 
@@ -40,36 +27,25 @@ class CpuPool:
         return self.count is None
 
     def acquire(self, now: int, duration: int) -> tuple[int, int]:
-        """Occupy a CPU for ``duration`` ticks starting no earlier than ``now``.
+        """Occupy a CPU for ``duration`` ticks starting at ``now``.
 
-        Returns ``(start, end)``.  With an infinite pool the work always
-        starts immediately.
+        Returns ``(start, end)``; the work always starts immediately.
         """
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
         self.busy_ticks += duration
-        if self.count is None:
-            return now, now + duration
-        free_at = heapq.heappop(self._free_at)
-        start = max(now, free_at)
-        end = start + duration
-        heapq.heappush(self._free_at, end)
-        return start, end
+        return now, now + duration
 
     def utilization(self, elapsed: int) -> float:
-        """CPU usage over ``elapsed`` ticks.
+        """Mean parallelism over ``elapsed`` ticks.
 
-        For a finite pool this is the fraction of capacity used (0..1).
-        An infinite pool has no capacity to divide by, so the value is
-        the *mean parallelism* instead — busy ticks per elapsed tick
-        (how many CPUs were occupied on average), rather than a
-        silently-lying 0.0.
+        An unbounded machine has no capacity to divide by, so this is
+        busy ticks per elapsed tick (how many CPUs were occupied on
+        average) rather than a silently-lying 0.0.
         """
         if elapsed <= 0:
             return 0.0
-        if self.count is None:
-            return self.busy_ticks / elapsed
-        return self.busy_ticks / (elapsed * self.count)
+        return self.busy_ticks / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CpuPool(count={self.count}, busy={self.busy_ticks})"

@@ -11,8 +11,9 @@ generator coroutines; they interact with the kernel by yielding syscalls
   reproducing the paper's "the manager should execute at a higher priority
   so that it is more receptive to entry calls";
 * **virtual time** — simulated work (``Charge``/``Delay``) advances a
-  virtual clock; with a finite :class:`~repro.kernel.cpu.CpuPool` work
-  contends for processors, with an infinite pool it overlaps freely;
+  virtual clock; on a finite machine work contends for CPUs through the
+  SMP scheduler (:mod:`repro.kernel.sched`), on an unbounded one it
+  overlaps freely (:class:`~repro.kernel.cpu.CpuPool`);
 * **selective waiting** — the generic guard protocol under ``select``/
   ``loop``, with run-time priorities and acceptance conditions;
 * **deadlock detection** — if the event queue drains while a non-daemon
@@ -89,9 +90,9 @@ class Kernel:
         ``None`` for an unbounded machine (pure latency model) or a positive
         integer for a finite machine where simulated work contends on an
         SMP scheduler (per-CPU runqueues; see :mod:`repro.kernel.sched`).
-        ``cpus`` is an alias.  Nodes may additionally declare their own
-        CPU counts (``Network.add_node(name, cpus=...)``), which become
-        node-local scheduling domains.
+        Nodes may additionally declare their own CPU counts
+        (``Network.add_node(name, cpus=...)``), which become node-local
+        scheduling domains.
     seed:
         Seed for all "arbitrary" choices; same seed => same run.
     arbitration:
@@ -114,27 +115,19 @@ class Kernel:
         arbitration: str = "ordered",
         trace: bool = False,
         spans: bool = False,
-        cpus: int | None = None,
     ) -> None:
         costs.validate()
         if arbitration not in ("ordered", "random"):
             raise KernelError(f"unknown arbitration policy {arbitration!r}")
-        if cpus is not None:
-            if num_cpus is not None and num_cpus != cpus:
-                raise KernelError(
-                    f"cpus= and num_cpus= disagree ({cpus} vs {num_cpus})"
-                )
-            num_cpus = cpus
         self.costs = costs
-        self.cpus = CpuPool(None if num_cpus is None else num_cpus)
+        self.cpus = CpuPool(num_cpus)
         self.clock = VirtualClock()
         self.rng = random.Random(seed)
         self.arbitration = arbitration
         self.trace = Trace(enabled=trace)
         self.stats = KernelStats()
-        #: Typed metric registry; counters declared with a ``legacy=`` key
-        #: mirror into ``stats.custom`` for pre-registry consumers.
-        self.metrics = MetricsRegistry(legacy=self.stats.custom)
+        #: Typed metric registry (dotted names, owned by each layer).
+        self.metrics = MetricsRegistry()
         #: Span recording and sink fan-out; disabled unless requested.
         self.obs = Observability(self)
         if spans:

@@ -32,11 +32,12 @@ nodes are separate machines.
 Determinism rules (load-bearing — the trace differ and the committed
 fixtures pin them):
 
-* a **single-CPU domain uses the legacy strict order for all classes**:
-  one ``(priority, seq)`` heap, exactly the pre-SMP
-  ``PriorityCpuScheduler`` behaviour, so ``cpus=1`` runs are
-  byte-identical to the historical kernel (fair scheduling cannot
-  change anything with one CPU anyway — there is nothing to balance);
+* a **single-CPU domain** runs the same grant path with three rules
+  derived from its count when it is built: every class shares one
+  ``(priority, seq)`` runqueue (so ``cpus=1`` runs replay the pre-SMP
+  single-queue scheduler byte for byte — fair sharing has nothing to
+  share with one CPU), no balancer is armed, and no ``cpu=`` span tags
+  or ``migrate`` instants are emitted;
 * every choice (CPU pick, steal victim, balance move) breaks ties by
   the lowest CPU index and the deterministic heap keys above, never by
   iteration order of a set or dict;
@@ -105,7 +106,8 @@ class _Cpu:
         #: Stats key (``cpu0`` / ``<node>.cpu0``) under ``stats.cpu``.
         self.key = key
         self.free = True
-        #: Strict-class runqueue: heap of ``((priority, seq), work)``.
+        #: Strict-class runqueue (every class on a single-CPU domain):
+        #: heap of ``((priority, seq), work)``.
         self.rt: list[tuple[tuple, _Work]] = []
         #: Fair-class runqueue: heap of
         #: ``((vruntime, node, cpu, pid, seq), work)``.
@@ -135,9 +137,8 @@ class SchedDomain:
         "name",
         "count",
         "cpus",
-        "_free",
+        "smp",
         "_seq",
-        "_waiting",
         "peak_queue",
         "balance_period",
         "_balance_cancel",
@@ -157,14 +158,13 @@ class SchedDomain:
         self.count = count
         prefix = f"{name}." if name else ""
         self.cpus = [_Cpu(i, f"{prefix}cpu{i}") for i in range(count)]
-        self._free = count
+        #: False for a single CPU: all classes then share the strict
+        #: ``(priority, seq)`` runqueue, and there is nothing to balance,
+        #: migrate between or tag (see the module docstring).
+        self.smp = count > 1
         self._seq = 0
-        #: Single-CPU (strict) domain runqueue: ``(priority, seq,
-        #: duration, action)`` — the exact legacy heap, kept so one-CPU
-        #: runs replay the historical kernel byte for byte.
-        self._waiting: list[tuple[int, int, int, Callable[[], None]]] = []
         self.peak_queue = 0
-        self.balance_period = balance_period
+        self.balance_period = balance_period if self.smp else 0
         self._balance_cancel: dict | None = None
         util_name = f"cpu.{name}.util" if name else "cpu.util"
         kernel.metrics.gauge(
@@ -178,8 +178,6 @@ class SchedDomain:
     @property
     def queued(self) -> int:
         """Grants waiting for a CPU (all runqueues of the domain)."""
-        if self.count == 1:
-            return len(self._waiting)
         return sum(cpu.queue_len for cpu in self.cpus)
 
     @property
@@ -213,56 +211,11 @@ class SchedDomain:
         if duration <= 0:
             action()
             return
-        if self.count == 1:
-            self._submit_strict(priority, duration, action)
-        else:
-            self._submit_smp(proc, priority, duration, action)
-
-    # -- single-CPU domain: the legacy strict path -----------------------
-    #
-    # Identical, call for call, to the historical PriorityCpuScheduler:
-    # start if the CPU is free, else queue by (priority, seq); on finish,
-    # free the CPU, start the best queued grant, then run the action.
-
-    def _submit_strict(
-        self, priority: int, duration: int, action: Callable[[], None]
-    ) -> None:
-        if self._free > 0:
-            self._start_strict(duration, action)
-        else:
-            self._seq += 1
-            heapq.heappush(self._waiting, (priority, self._seq, duration, action))
-            self.peak_queue = max(self.peak_queue, len(self._waiting))
-
-    def _start_strict(self, duration: int, action: Callable[[], None]) -> None:
-        self._free -= 1
-        cpu = self.cpus[0]
-        self._account(cpu, duration)
-        end = self.kernel.clock.now + duration
-
-        def finish() -> None:
-            self._free += 1
-            if self._waiting:
-                _prio, _seq, next_duration, next_action = heapq.heappop(self._waiting)
-                self._start_strict(next_duration, next_action)
-            action()
-
-        self.kernel.post(end, finish)
-
-    # -- multi-CPU domain: per-CPU runqueues + classes -------------------
-
-    def _submit_smp(
-        self,
-        proc: "Process | None",
-        priority: int,
-        duration: int,
-        action: Callable[[], None],
-    ) -> None:
         self._seq += 1
         work = _Work(proc, priority, duration, action, self._seq)
         cpu = self._pick_free(proc)
         if cpu is not None:
-            self._start_smp(cpu, work)
+            self._start(cpu, work)
             return
         target = min(self.cpus, key=lambda c: (c.queued_ticks, c.index))
         self._enqueue(target, work)
@@ -285,7 +238,7 @@ class SchedDomain:
         return (work.vruntime, self.name, cpu.index, pid, work.seq)
 
     def _enqueue(self, cpu: _Cpu, work: _Work) -> None:
-        if work.priority < PRIORITY_NORMAL:
+        if work.priority < PRIORITY_NORMAL or not self.smp:
             heapq.heappush(cpu.rt, ((work.priority, work.seq), work))
         else:
             base = work.proc.vruntime if work.proc is not None else 0
@@ -293,12 +246,12 @@ class SchedDomain:
             heapq.heappush(cpu.fair, (self._fair_key(cpu, work), work))
         cpu.queued_ticks += work.duration
 
-    def _start_smp(self, cpu: _Cpu, work: _Work) -> None:
+    def _start(self, cpu: _Cpu, work: _Work) -> None:
         cpu.free = False
         self._account(cpu, work.duration)
         kernel = self.kernel
         proc = work.proc
-        if proc is not None:
+        if proc is not None and self.smp:
             here = (self.name, cpu.index)
             prev = proc.last_cpu
             if prev is not None and prev != here:
@@ -329,7 +282,7 @@ class SchedDomain:
             cpu.free = True
             next_work = self._next_work(cpu)
             if next_work is not None:
-                self._start_smp(cpu, next_work)
+                self._start(cpu, next_work)
             if self.queued == 0:
                 # Cancelled events are dropped before the clock advances,
                 # so a drained domain never inflates the simulation end.

@@ -26,17 +26,9 @@ class TestInfinitePool:
 
 
 class TestFinitePool:
-    def test_single_cpu_serializes(self):
-        pool = CpuPool(1)
-        assert pool.acquire(0, 10) == (0, 10)
-        assert pool.acquire(0, 10) == (10, 20)
-        assert pool.acquire(0, 10) == (20, 30)
-
-    def test_two_cpus_overlap_two(self):
-        pool = CpuPool(2)
-        assert pool.acquire(0, 10) == (0, 10)
-        assert pool.acquire(0, 10) == (0, 10)
-        assert pool.acquire(0, 10) == (10, 20)
+    """A pool sized for a finite machine only records its count: grants
+    on a finite machine go through the SMP scheduler, so the pool itself
+    never queues work."""
 
     def test_idle_gap_respected(self):
         pool = CpuPool(1)
@@ -55,13 +47,6 @@ class TestFinitePool:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             CpuPool(0)
-
-    def test_utilization(self):
-        pool = CpuPool(2)
-        pool.acquire(0, 10)
-        pool.acquire(0, 10)
-        assert pool.utilization(10) == pytest.approx(1.0)
-        assert pool.utilization(20) == pytest.approx(0.5)
 
     def test_busy_ticks_accumulate(self):
         pool = CpuPool(4)

@@ -73,6 +73,48 @@ class TestUpStrictCompatibility:
         assert diff_main([f"{FIXTURES}/trace_e1_cpus1.json", path]) == 0
 
 
+class TestSingleCpuRules:
+    """The three rules a 1-CPU domain derives from its count."""
+
+    def test_all_classes_share_one_priority_seq_runqueue(self):
+        # cpu0 is busy until t=100; behind it queue background, normal
+        # and manager grants.  Fair (vruntime) order would grant the
+        # background item before the later normal ones; one CPU grants
+        # strictly by (priority, seq).
+        kernel = Kernel(num_cpus=1)
+        domain = kernel.cpu_scheduler.default
+        order = []
+        domain.submit(None, PRIORITY_NORMAL, 100, lambda: order.append("first"))
+        domain.submit(None, 1000, 10, lambda: order.append("background"))
+        domain.submit(None, PRIORITY_NORMAL, 10, lambda: order.append("normal1"))
+        domain.submit(None, PRIORITY_MANAGER, 10, lambda: order.append("manager"))
+        domain.submit(None, PRIORITY_NORMAL, 10, lambda: order.append("normal2"))
+        kernel.run()
+        assert order == ["first", "manager", "normal1", "normal2", "background"]
+        # The queue outlived a balance period (50 ticks), yet one CPU
+        # never arms the balancer.
+        assert kernel.clock.now == 140
+        assert kernel.stats.balance_runs == 0
+
+    @pytest.mark.parametrize("num_cpus, tagged", [(1, False), (2, True)])
+    def test_cpu_span_tag_only_on_multi_cpu_domains(self, num_cpus, tagged):
+        kernel = Kernel(num_cpus=num_cpus, spans=True)
+
+        def worker():
+            me = kernel.current_process
+            me.span = kernel.obs.begin("test", "work", process=me.name)
+            yield Charge(10)
+            yield Charge(10)
+            kernel.obs.end(me.span)
+
+        kernel.spawn(worker, name="w")
+        kernel.spawn(worker, name="v")
+        kernel.run()
+        spans = [span for span in kernel.obs.spans if span.kind == "test"]
+        assert len(spans) == 2
+        assert all(("cpu" in span.attrs) is tagged for span in spans)
+
+
 class TestSmpDeterminism:
     def test_cpus2_run_twice_is_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -280,14 +322,9 @@ class TestBalancer:
 
 
 class TestKernelApi:
-    def test_cpus_alias(self):
-        assert Kernel(cpus=2).cpu_scheduler.default.count == 2
+    def test_num_cpus_builds_default_domain(self):
         assert Kernel(num_cpus=3).cpu_scheduler.default.count == 3
         assert Kernel().cpu_scheduler.default is None
-
-    def test_cpus_alias_conflict_rejected(self):
-        with pytest.raises(KernelError):
-            Kernel(num_cpus=2, cpus=4)
 
     def test_bad_cpu_count_rejected(self):
         with pytest.raises(KernelError):
