@@ -20,6 +20,7 @@ the analysis degrades to visible uncertainty, not to silence.
 
 from __future__ import annotations
 
+from ...kernel.waitgraph import strongly_connected as tarjan
 from ..findings import Finding
 from .callgraph import CallGraph, Edge, Node
 
@@ -29,54 +30,7 @@ def strongly_connected(graph: CallGraph) -> list[list[Node]]:
     adj: dict[Node, list[Node]] = {n: [] for n in graph.nodes}
     for edge in graph.resolved_edges():
         adj[edge.src].append(edge.dst)  # type: ignore[arg-type]
-
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    sccs: list[list[Node]] = []
-    counter = [0]
-
-    def strongconnect(root: Node) -> None:
-        # Iterative Tarjan: (node, iterator position) work stack.
-        work = [(root, 0)]
-        while work:
-            node, pos = work.pop()
-            if pos == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            neighbours = adj[node]
-            for i in range(pos, len(neighbours)):
-                succ = neighbours[i]
-                if succ not in index:
-                    work.append((node, i + 1))
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if recurse:
-                continue
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: list[Node] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-
-    for node in graph.nodes:
-        if node not in index:
-            strongconnect(node)
-    return sccs
+    return tarjan(graph.nodes, adj.__getitem__)
 
 
 def _cycle_edges(graph: CallGraph, component: list[Node]) -> list[Edge]:

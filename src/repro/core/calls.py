@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 from ..errors import ProtocolError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..kernel.kernel import Kernel
     from ..kernel.process import Process
     from .entry import EntrySpec
 
@@ -69,9 +70,8 @@ class Call:
         "response_delay",
         "caller_resumed",
         "timeout",
-        "timeout_cancel",
         "deadline_at",
-        "deadline_cancel",
+        "expiry_cancel",
         "interrupted",
         "delivery_epoch",
         "span",
@@ -114,19 +114,18 @@ class Call:
         #: the RPC layer for remote calls).
         self.response_delay = 0
         #: True once the caller has been resumed or thrown into — exactly
-        #: once per call, whichever of completion, failure, timeout expiry
-        #: or crash detection happens first wins.
+        #: once per call, claimed through :meth:`settle` by whichever of
+        #: completion, failure, timeout expiry or crash detection wins.
         self.caller_resumed = False
         #: Deadline of a timed call (``yield obj.p(args, timeout=n)``).
         self.timeout: int | None = None
-        #: Cancellation token of the armed timeout event, if any.
-        self.timeout_cancel: dict | None = None
         #: Absolute end-to-end deadline (§ deadline propagation): the
         #: smaller of the caller's explicit ``deadline=`` and any budget
         #: inherited from the process serving an enclosing call.
         self.deadline_at: int | None = None
-        #: Cancellation token of the armed deadline event, if any.
-        self.deadline_cancel: dict | None = None
+        #: Cancellation token shared by the armed timeout and deadline
+        #: events, if any; :meth:`settle` cancels both at once.
+        self.expiry_cancel: dict | None = None
         #: Set by the fault injector when a node crash interrupted this
         #: call; a Supervisor may re-queue it (which clears the flag).
         self.interrupted = False
@@ -168,6 +167,31 @@ class Call:
                 f"before the body terminates"
             )
         return self.body_results[self.spec.returns :]
+
+    # -- the caller's one resumption ----------------------------------------
+
+    def settle(self, kernel: "Kernel", status: str, at: int | None = None) -> bool:
+        """Claim the caller's single resumption; False if already claimed.
+
+        Every end of a call — finish, unmanaged completion, body failure,
+        shedding, timeout or deadline expiry, crash detection — goes
+        through here, so the caller is resumed exactly once ("the caller
+        of P is simply waiting for the results", §2.3).  The winner
+        stamps ``finished_at`` (when ``at`` is given), cancels the
+        pending expiry events and closes the call's span tree with
+        ``status``; delivering the value or exception stays with the
+        caller of this method.
+        """
+        if self.caller_resumed:
+            return False
+        self.caller_resumed = True
+        if at is not None:
+            self.finished_at = at
+        if self.expiry_cancel is not None:
+            self.expiry_cancel["cancelled"] = True
+        if kernel.obs.enabled:
+            kernel.obs.complete_call(self, status=status)
+        return True
 
     # -- deadlines ---------------------------------------------------------
 

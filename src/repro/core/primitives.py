@@ -139,19 +139,11 @@ class EntryCall(Syscall):
             # Inherited budget already spent: fail at issue, deliver nothing.
             _expire_deadline(kernel, call)
             return
-        if self.timeout is not None:
-            call.timeout = self.timeout
-            arm_call_timeout(kernel, call)
-        if call.deadline_at is not None:
-            arm_call_deadline(kernel, call)
+        call.timeout = self.timeout
+        arm_expiry(kernel, call)
 
         def deliver() -> None:
-            if spec.intercepted:
-                runtime.submit(call)
-            else:
-                # No manager interception: "a process is created
-                # implicitly and made to execute the procedure" (§2.3).
-                runtime.submit_unmanaged(call)
+            runtime.submit(call)
 
         # When a fault injector is installed it owns routing: crashed
         # targets, partitions, message loss and jitter all happen there.
@@ -182,48 +174,61 @@ def _tag_hop(call: Call, proc: "Process") -> None:
         call.span.attrs["dst_node"] = dst.name
 
 
-def arm_call_timeout(kernel: "Kernel", call: Call) -> None:
-    """Post the expiry event of a timed call (cancelled at first resume)."""
-    assert call.timeout is not None
-    cancel = {"cancelled": False}
-    call.timeout_cancel = cancel
-    deadline = kernel.clock.now + call.timeout
+def arm_expiry(kernel: "Kernel", call: Call) -> None:
+    """Post the timeout and deadline expiry events of ``call``, if any.
 
-    def expire() -> None:
-        if call.caller_resumed:
-            return
-        call.caller_resumed = True
-        call.finished_at = kernel.clock.now
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
-        if kernel.obs.enabled:
-            kernel.obs.complete_call(call, status="timeout")
-        kernel.trace.record(
-            kernel.clock.now,
-            "call_timeout",
-            call.caller.name,
+    Both events share one cancellation token, so whichever end settles
+    the call first (completion, failure, crash detection or the other
+    expiry) disarms them together.
+    """
+    if call.timeout is None and call.deadline_at is None:
+        return
+    cancel = call.expiry_cancel = {"cancelled": False}
+    priority = call.caller.priority
+    if call.timeout is not None:
+        kernel.post(
+            kernel.clock.now + call.timeout,
+            lambda: _expire_timeout(kernel, call),
+            priority=priority,
+            cancel=cancel,
+        )
+    if call.deadline_at is not None:
+        kernel.post(
+            call.deadline_at,
+            lambda: _expire_deadline(kernel, call),
+            priority=priority,
+            cancel=cancel,
+        )
+
+
+def _expire_timeout(kernel: "Kernel", call: Call) -> None:
+    """Resume the caller of a timed call with ``RemoteCallError``."""
+    if not call.settle(kernel, "timeout", at=kernel.clock.now):
+        return
+    kernel.trace.record(
+        kernel.clock.now,
+        "call_timeout",
+        call.caller.name,
+        entry=call.entry,
+        obj=call.obj.alps_name,
+        after=call.timeout,
+    )
+    # The protocol state is deliberately left alone: the caller is
+    # gone (``call.dead()``), but the object may still rendezvous
+    # with the corpse — a sweep arm frees the slot at reject cost, a
+    # plain accept arm serves it and discards the response
+    # (at-least-once).  Forcing FAILED here would wedge the slot and
+    # race the accept/start/reject window.  Wake sweeping managers.
+    _notify_if_queued(kernel, call)
+    kernel.schedule_throw(
+        call.caller,
+        RemoteCallError(
+            f"call to {call.obj.alps_name}.{call.entry} timed out after "
+            f"{call.timeout} ticks",
             entry=call.entry,
             obj=call.obj.alps_name,
-            after=call.timeout,
-        )
-        # The protocol state is deliberately left alone: the caller is
-        # gone (``call.dead()``), but the object may still rendezvous
-        # with the corpse — a sweep arm frees the slot at reject cost, a
-        # plain accept arm serves it and discards the response
-        # (at-least-once).  Forcing FAILED here would wedge the slot and
-        # race the accept/start/reject window.  Wake sweeping managers.
-        _notify_if_queued(kernel, call)
-        kernel.schedule_throw(
-            call.caller,
-            RemoteCallError(
-                f"call to {call.obj.alps_name}.{call.entry} timed out after "
-                f"{call.timeout} ticks",
-                entry=call.entry,
-                obj=call.obj.alps_name,
-            ),
-        )
-
-    kernel.post(deadline, expire, priority=call.caller.priority, cancel=cancel)
+        ),
+    )
 
 
 def _notify_if_queued(kernel: "Kernel", call: Call) -> bool:
@@ -243,19 +248,6 @@ def _notify_if_queued(kernel: "Kernel", call: Call) -> bool:
     return True
 
 
-def arm_call_deadline(kernel: "Kernel", call: Call) -> None:
-    """Post the end-to-end deadline expiry event (cancelled at first resume)."""
-    assert call.deadline_at is not None
-    cancel = {"cancelled": False}
-    call.deadline_cancel = cancel
-    kernel.post(
-        call.deadline_at,
-        lambda: _expire_deadline(kernel, call),
-        priority=call.caller.priority,
-        cancel=cancel,
-    )
-
-
 def _expire_deadline(kernel: "Kernel", call: Call) -> None:
     """Resume the caller with ``DeadlineExceeded``; leave the call swept-able.
 
@@ -266,14 +258,8 @@ def _expire_deadline(kernel: "Kernel", call: Call) -> None:
     reach it and free the slot at reject cost.  The arrival waitable is
     notified so a sweeping manager wakes at the expiry tick.
     """
-    if call.caller_resumed:
+    if not call.settle(kernel, "deadline", at=kernel.clock.now):
         return
-    call.caller_resumed = True
-    call.finished_at = kernel.clock.now
-    if call.timeout_cancel is not None:
-        call.timeout_cancel["cancelled"] = True
-    if kernel.obs.enabled:
-        kernel.obs.complete_call(call, status="deadline")
     kernel.metrics.counter(
         "deadline.expired", "Calls whose end-to-end deadline expired",
     ).inc()
@@ -504,7 +490,7 @@ class Start(Syscall):
             return
         call.hidden_args = tuple(self.hidden)
         runtime = _runtime_of(call.obj, call.entry)
-        runtime.start_body(call, managed=True)
+        runtime.start_body(call)
         kernel.schedule_resume(proc, call, cost=cost + kernel.costs.start)
 
 
@@ -565,16 +551,8 @@ class Finish(Syscall):
             kernel.schedule_throw(proc, exc)
             return
 
-        was_started = call.state == CallState.AWAITED
-        call.state = CallState.DONE
-        call.finished_at = kernel.clock.now
         kernel.stats.finishes += 1
-        kernel.stats.calls_completed += 1
-        if was_started:
-            runtime.pool.release(call)
-        runtime.detach(call)
-        runtime.record(call)
-        runtime.resume_caller(call, final)
+        runtime.complete(call, final, started=call.state == CallState.AWAITED)
         kernel.schedule_resume(proc, None, cost=cost + kernel.costs.finish)
 
 

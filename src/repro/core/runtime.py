@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import CallError, ProtocolError
+from ..errors import ProtocolError
 from ..kernel.waiting import Waitable
 from ..obs.live.stream import Ewma
 from .calls import Call, CallState
@@ -80,29 +80,23 @@ class EntryRuntime:
         return attached_unaccepted + len(self.waiting)
 
     def submit(self, call: Call) -> None:
-        """A new invocation arrived: attach it or queue it."""
-        if call.issued_at is None:
-            call.issued_at = self.kernel.clock.now
-        self.kernel.stats.calls_issued += 1
-        if not self.try_attach(call):
-            self.waiting.append(call)
-            self._queue_event("slot.queue.enter", call)
+        """A new invocation arrived: attach it or queue it.
 
-    def submit_unmanaged(self, call: Call) -> None:
-        """Invocation of a non-intercepted entry (§2.3).
-
-        No manager rendezvous: "each time an entry procedure is called a
-        process is created implicitly and made to execute the procedure".
-        Array slots still bound concurrency if the entry declares one.
+        A non-intercepted entry has no manager rendezvous (§2.3): "each
+        time an entry procedure is called a process is created implicitly
+        and made to execute the procedure".  Its body starts at once,
+        unless a declared array bounds its concurrency and every slot is
+        taken — then it queues like any other call.
         """
         if call.issued_at is None:
             call.issued_at = self.kernel.clock.now
         self.kernel.stats.calls_issued += 1
-        if self.spec.array is not None and not self.try_attach(call):
+        spec = self.spec
+        if (spec.intercepted or spec.array is not None) and not self.try_attach(call):
             self.waiting.append(call)
             self._queue_event("slot.queue.enter", call)
-            return
-        self.start_body(call, managed=False)
+        elif not spec.intercepted:
+            self.start_body(call)
 
     def try_attach(self, call: Call) -> bool:
         """Attach ``call`` to a free element, if any.
@@ -146,7 +140,13 @@ class EntryRuntime:
         )
 
     def detach(self, call: Call) -> None:
-        """Free the call's slot and attach the next waiting call."""
+        """Free the call's slot and attach the next waiting call.
+
+        With no manager to accept it, the newly attached call of a
+        non-intercepted entry is started here — on every release path
+        (completion, body failure), so a bounded unmanaged entry never
+        strands a queued caller.
+        """
         assert call.slot is not None
         if self.slots[call.slot] is not call:
             raise ProtocolError(
@@ -154,14 +154,13 @@ class EntryRuntime:
                 f"not attached there"
             )
         self.slots[call.slot] = None
-        while self.waiting:
-            nxt = self.waiting.popleft()
-            if self.try_attach(nxt):
-                self._queue_event("slot.queue.leave", nxt)
-                break
-            # No free slot after all (cannot happen: we just freed one).
-            self.waiting.appendleft(nxt)
-            break
+        if not self.waiting:
+            return
+        nxt = self.waiting.popleft()
+        self.try_attach(nxt)  # cannot fail: a slot was just freed
+        self._queue_event("slot.queue.leave", nxt)
+        if not self.spec.intercepted:
+            self.start_body(nxt)
 
     # ------------------------------------------------------------------
     # Guard views
@@ -219,13 +218,14 @@ class EntryRuntime:
     # Body execution
     # ------------------------------------------------------------------
 
-    def start_body(self, call: Call, managed: bool) -> None:
+    def start_body(self, call: Call) -> None:
         """Dispatch the body of ``call`` onto a server process.
 
-        ``managed`` bodies report BODY_DONE and wait for ``finish``;
-        unmanaged (non-intercepted) bodies deliver results directly.
+        Bodies of intercepted entries report BODY_DONE and wait for the
+        manager's ``finish``; non-intercepted bodies complete directly.
         """
         runtime = self
+        managed = self.spec.intercepted
 
         def job():
             try:
@@ -262,49 +262,42 @@ class EntryRuntime:
                 # caller and releases the worker; this generator ends here
                 # but the pool slot stays occupied until release().
             else:
-                runtime.complete_unmanaged(call)
+                runtime.complete(call, results[: runtime.spec.returns], started=True)
 
         call.state = CallState.STARTED
         call.started_at = self.kernel.clock.now
         self.kernel.stats.starts += 1
         self.pool.dispatch(job, call)
 
-    def complete_unmanaged(self, call: Call) -> None:
-        """Finish a non-intercepted call: results flow straight back."""
+    def complete(self, call: Call, results: tuple, started: bool) -> None:
+        """End a served call: free its worker and slot, deliver ``results``.
+
+        ``results`` are the definition results only.  ``started`` is
+        False for a combined call (§2.7), which never held a worker.  A
+        caller is resumed at most once: if the call already expired (a
+        timed call) or was failed by crash detection, the response is
+        discarded.  With a fault injector installed, the response leg
+        may itself be lost or jittered.
+        """
+        kernel = self.kernel
         call.state = CallState.DONE
-        call.finished_at = self.kernel.clock.now
-        self.kernel.stats.calls_completed += 1
-        self.pool.release(call)
+        call.finished_at = kernel.clock.now
+        kernel.stats.calls_completed += 1
+        if started:
+            self.pool.release(call)
         if call.slot is not None:
             self.detach(call)
-            # With no manager to accept them, newly attached waiting calls
-            # must be started here.
-            for queued in self.slots:
-                if queued is not None and queued.state == CallState.ATTACHED:
-                    self.start_body(queued, managed=False)
         self.record(call)
-        self.resume_caller(call, call.body_results[: self.spec.returns])
-
-    def resume_caller(self, call: Call, results: tuple) -> None:
-        """Deliver ``results`` (definition results only) to the caller.
-
-        A caller is resumed at most once: if the call already expired (a
-        timed call), or was failed by crash detection, the response is
-        discarded.  With a fault injector installed, the response leg may
-        itself be lost or jittered.
-        """
         if call.caller_resumed:
             return
-        faults = self.kernel.faults
+        faults = kernel.faults
         if faults is not None and faults.drop_response(call):
             # Response lost in the network; the caller recovers through a
             # timeout (plus retry), never through a silent double-resume.
             return
-        call.caller_resumed = True
-        if call.timeout_cancel is not None:
-            call.timeout_cancel["cancelled"] = True
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
+        delay = call.response_delay
+        # The caller-perceived completion includes the response leg.
+        call.settle(kernel, "ok", at=call.finished_at + delay)
         value: Any
         if self.spec.returns == 0:
             value = None
@@ -312,20 +305,14 @@ class EntryRuntime:
             value = results[0]
         else:
             value = tuple(results)
-        if call.response_delay:
-            kernel = self.kernel
-            # The caller-perceived completion includes the response leg.
-            if call.finished_at is not None:
-                call.finished_at += call.response_delay
+        if delay:
             kernel.post(
-                kernel.clock.now + call.response_delay,
+                kernel.clock.now + delay,
                 lambda: kernel.schedule_resume(call.caller, value),
                 priority=call.caller.priority,
             )
         else:
-            self.kernel.schedule_resume(call.caller, value)
-        if self.kernel.obs.enabled:
-            self.kernel.obs.complete_call(call, status="ok")
+            kernel.schedule_resume(call.caller, value)
 
     def fail_caller(
         self, call: Call, exc: BaseException, status: str = "error"
@@ -336,16 +323,8 @@ class EntryRuntime:
         for body failures, ``"shed"`` when admission control rejected it.
         """
         call.state = CallState.FAILED
-        if call.caller_resumed:
-            return
-        call.caller_resumed = True
-        if call.timeout_cancel is not None:
-            call.timeout_cancel["cancelled"] = True
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
-        if self.kernel.obs.enabled:
-            self.kernel.obs.complete_call(call, status=status)
-        self.kernel.schedule_throw(call.caller, exc)
+        if call.settle(self.kernel, status):
+            self.kernel.schedule_throw(call.caller, exc)
 
     def observe_service(self, call: Call) -> None:
         """Fold one completed body's service time into the EWMA."""
@@ -370,10 +349,3 @@ class EntryRuntime:
             f"attached={sum(1 for s in self.slots if s is not None)} "
             f"waiting={len(self.waiting)}"
         )
-
-
-def arity_error(spec: "EntrySpec", got: int) -> CallError:
-    return CallError(
-        f"{spec.name} expects {spec.params} argument(s) "
-        f"(plus {spec.hidden_params} hidden), got {got}"
-    )

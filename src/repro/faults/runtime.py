@@ -6,7 +6,8 @@ network.  From then on the runtime owns every cross-node interaction:
 * **entry calls** — ``EntryCall.handle`` delegates to :meth:`route_call`,
   which applies crash detection, partitions, request loss and jitter; the
   response leg passes through :meth:`drop_response` from
-  ``EntryRuntime.resume_caller``;
+  ``EntryRuntime.complete``, and crash detection ends a call through
+  the same ``Call.settle`` as every other completion route;
 * **messages** — ``NetSend`` asks :meth:`message_fates` for the delivery
   schedule of each remote message (zero, one or two deliveries);
 * **work** — ``Charge`` asks :meth:`scale_work` to dilate ticks on
@@ -448,18 +449,10 @@ class FaultRuntime:
         )
 
     def _fail_call(self, call: Call, reason: str) -> None:
-        if call.caller_resumed:
+        if not call.settle(self.kernel, "failed", at=self.kernel.clock.now):
             return
-        call.caller_resumed = True
         call.state = CallState.FAILED
-        call.finished_at = self.kernel.clock.now
-        if call.timeout_cancel is not None:
-            call.timeout_cancel["cancelled"] = True
-        if call.deadline_cancel is not None:
-            call.deadline_cancel["cancelled"] = True
         self.c_failed_calls.inc()
-        if self.kernel.obs.enabled:
-            self.kernel.obs.complete_call(call, status="failed")
         self.kernel.schedule_throw(
             call.caller,
             RemoteCallError(reason, entry=call.entry, obj=call.obj.alps_name),
@@ -581,10 +574,6 @@ class FaultRuntime:
         call.body_process = None
         call.combined = False
         runtime = obj._entry_runtime(call.entry)
-        if call.spec.intercepted:
-            deliver: Callable[[], None] = lambda: runtime.submit(call)
-        else:
-            deliver = lambda: runtime.submit_unmanaged(call)
 
         src = getattr(caller, "node", None)
         request = 0
@@ -607,7 +596,7 @@ class FaultRuntime:
         )
         if node is not None:
             self._track(call)
-        fire = self._guarded(call, deliver)
+        fire = self._guarded(call, lambda: runtime.submit(call))
         if request:
             kernel.post(kernel.clock.now + request, fire)
         else:

@@ -34,10 +34,12 @@ left to fire).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 
 from .process import Process, ProcessState
 from .timeouts import Timeout
+
+T = TypeVar("T")
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -144,12 +146,15 @@ class WaitForSnapshot:
         for edge in edges:
             adjacency.setdefault(edge.src.pid, []).append(edge)
         cycles: list[list[WaitEdge]] = []
-        for component in _tarjan_sccs(adjacency):
+        components = strongly_connected(
+            adjacency, lambda pid: [e.dst.pid for e in adjacency.get(pid, ())]
+        )
+        for component in components:
             if len(component) == 1:
-                pid = next(iter(component))
+                pid = component[0]
                 if not any(e.dst.pid == pid for e in adjacency.get(pid, ())):
                     continue  # trivial SCC without a self-loop
-            cycle = _walk_cycle(component, adjacency)
+            cycle = _walk_cycle(set(component), adjacency)
             if cycle:
                 cycles.append(cycle)
         return cycles
@@ -232,53 +237,56 @@ class WaitForSnapshot:
         )
 
 
-def _tarjan_sccs(adjacency: dict[int, list[WaitEdge]]) -> list[set[int]]:
-    """Strongly connected components of the pid graph (iterative Tarjan)."""
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = [0]
+def strongly_connected(
+    nodes: Iterable[T], successors: Callable[[T], Iterable[T]]
+) -> list[list[T]]:
+    """Strongly connected components of a directed graph (iterative Tarjan).
 
-    for root in adjacency:
+    Roots are tried in ``nodes`` order and successors in the order
+    ``successors`` yields them; nodes reachable only as successors are
+    visited too.  Components come out in completion order, each listed
+    in stack-pop order, so equal inputs always give equal output.  The
+    runtime wait-for graph and the static call graph
+    (:mod:`repro.analysis.wholeprogram.cycles`) share this one search.
+    """
+    index: dict[T, int] = {}
+    lowlink: dict[T, int] = {}
+    on_stack: set[T] = set()
+    stack: list[T] = []
+    sccs: list[list[T]] = []
+
+    def visit(node: T) -> Iterator[T]:
+        index[node] = lowlink[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        return iter(successors(node))
+
+    for root in nodes:
         if root in index:
             continue
-        work = [(root, iter(adjacency.get(root, ())))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        work = [(root, visit(root))]
         while work:
-            node, edges = work[-1]
-            advanced = False
-            for edge in edges:
-                nxt = edge.dst.pid
+            node, succs = work[-1]
+            for nxt in succs:
                 if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
+                    work.append((nxt, visit(nxt)))
                     break
                 if nxt in on_stack:
                     lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: set[int] = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                sccs.append(component)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    component: list[T] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    sccs.append(component)
     return sccs
 
 

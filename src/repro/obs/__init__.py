@@ -194,11 +194,14 @@ class Observability:
         self._deliver(span)
         return span
 
-    def instant(self, kind: str, process: str = "", **detail: Any) -> None:
-        """A point annotation delivered straight to the sinks."""
-        now = self.kernel.clock.now
+    def instant(
+        self, kind: str, process: str = "", at: int | None = None, **detail: Any
+    ) -> None:
+        """A point annotation delivered straight to the sinks (at ``at``,
+        default: now)."""
+        time = self.kernel.clock.now if at is None else at
         for sink in self.sinks:
-            sink.on_instant(now, kind, process, detail)
+            sink.on_instant(time, kind, process, detail)
 
     def _deliver(self, span: Span) -> None:
         if self.keep_spans:
@@ -207,8 +210,7 @@ class Observability:
             sink.on_span(span)
 
     def _forward_trace_event(self, event: Any) -> None:
-        for sink in self.sinks:
-            sink.on_instant(event.time, event.kind, event.process, event.detail)
+        self.instant(event.kind, event.process, at=event.time, **event.detail)
 
     # -- the entry-call hooks --------------------------------------------
 
@@ -237,9 +239,10 @@ class Observability:
 
         The phases come from the timestamps :class:`~repro.core.calls.Call`
         already records — no per-transition allocation ever happens on
-        the call path, even with the layer enabled.  Safe to invoke from
-        every completion route (finish, unmanaged completion, body
-        failure, timeout expiry, crash detection); the first wins.
+        the call path, even with the layer enabled.  Its one caller is
+        :meth:`~repro.core.calls.Call.settle`, which every completion
+        route (finish, unmanaged completion, body failure, shedding,
+        timeout or deadline expiry, crash detection) goes through.
         """
         root = call.span
         if root is None:

@@ -207,8 +207,7 @@ class LivePlane:
             self._instant(boundary, "live.snapshot", self.snapshot(boundary))
 
     def _instant(self, time: int, kind: str, detail: dict) -> None:
-        for sink in self.obs.sinks:
-            sink.on_instant(time, kind, "live", detail)
+        self.obs.instant(kind, "live", at=time, **detail)
 
     # -- declaration (idempotent by name) ---------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spans import Span
@@ -192,14 +192,8 @@ def validate_chrome_trace(payload: Any) -> list[str]:
     Used by the CI trace-validation step and the sink tests: the payload
     must be well-formed, non-empty, and every async span begin (``"b"``)
     must pair with exactly one end (``"e"``) of the same id/category at
-    a tick no earlier than its begin.
-
-    Live-plane instants (``cat`` starting with ``live.``) get their own
-    checks: timestamps must be non-decreasing in file order (the plane
-    emits at step boundaries, in boundary order — any inversion means a
-    sink reordered them), ``live.alert`` instants must carry the alert
-    fields and alternate firing/resolved per monitor, and
-    ``live.snapshot`` instants must carry their evaluation time.
+    a tick no earlier than its begin.  Live-plane instants (``cat``
+    starting with ``live.``) must pass :func:`_check_live_instants`.
     """
     problems: list[str] = []
     if not isinstance(payload, dict) or "traceEvents" not in payload:
@@ -229,116 +223,103 @@ def validate_chrome_trace(payload: Any) -> list[str]:
     for key in begins:
         problems.append(f"begin without end for span {key}")
 
-    def unquote(value: Any) -> str:
-        # ChromeTraceSink reprs instant arg values; strip string quotes.
+    live = (
+        (event.get("ts"), str(event["cat"]), _unquoted(event.get("args") or {}))
+        for event in events
+        if isinstance(event, dict)
+        and event.get("ph") == "i"
+        and str(event.get("cat", "")).startswith("live.")
+    )
+    _check_live_instants(live, problems)
+    return problems
+
+
+def _unquoted(args: Any) -> Any:
+    """ChromeTraceSink reprs instant arg values; strip string quotes."""
+    if not isinstance(args, dict):
+        return args
+    out = {}
+    for key, value in args.items():
         text = str(value)
         if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
-            return text[1:-1]
-        return text
-
-    last_ts: int | float | None = None
-    alert_states: dict[str, str] = {}
-    for event in events:
-        if not isinstance(event, dict) or event.get("ph") != "i":
-            continue
-        cat = str(event.get("cat", ""))
-        if not cat.startswith("live."):
-            continue
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"live instant missing numeric ts: {event!r}")
-            continue
-        if last_ts is not None and ts < last_ts:
-            problems.append(
-                f"live instants out of order: ts {ts} after {last_ts}"
-            )
-        last_ts = ts
-        args = event.get("args") or {}
-        if cat == "live.alert":
-            for field in ("monitor", "state", "fast_burn", "slow_burn"):
-                if field not in args:
-                    problems.append(f"live.alert at ts {ts} missing {field!r}")
-            monitor = unquote(args.get("monitor", "?"))
-            state = unquote(args.get("state", "?"))
-            if state not in ("firing", "resolved"):
-                problems.append(
-                    f"live.alert for {monitor} has bad state {state!r}"
-                )
-            else:
-                prev = alert_states.get(monitor)
-                expected = "firing" if prev in (None, "resolved") else "resolved"
-                if state != expected:
-                    problems.append(
-                        f"monitor {monitor}: {state!r} at ts {ts} does not "
-                        f"alternate (previous state {prev!r})"
-                    )
-                alert_states[monitor] = state
-        elif cat == "live.snapshot" and "time" not in args:
-            problems.append(f"live.snapshot at ts {ts} missing 'time'")
-    return problems
+            text = text[1:-1]
+        out[key] = text
+    return out
 
 
 def validate_live_jsonl(lines: Any) -> list[str]:
     """Check live-plane instants in a JSONL sink dump; returns problems.
 
     Same contract as the Chrome-trace checks, applied to the JSONL side:
-    every line must be a JSON object; ``live.*`` event times must be
-    non-decreasing in file order; ``live.alert`` events must carry the
-    alert payload and alternate firing/resolved per monitor;
-    ``live.snapshot`` events must embed their evaluation time.
+    every line must be a JSON object, and the ``live.*`` events must
+    pass the shared live-instant checks (see :func:`_check_live_instants`).
     """
     problems: list[str] = []
-    last_time: int | float | None = None
+
+    def live():
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                problems.append(f"line {lineno}: not valid JSON")
+                continue
+            if not isinstance(record, dict):
+                problems.append(f"line {lineno}: not a JSON object")
+                continue
+            kind = str(record.get("kind", ""))
+            if record.get("type") == "event" and kind.startswith("live."):
+                yield record.get("time"), kind, record.get("detail")
+
+    _check_live_instants(live(), problems)
+    return problems
+
+
+def _check_live_instants(instants: Iterable[tuple], problems: list[str]) -> None:
+    """The live-plane instant contract, shared by both validators.
+
+    ``instants`` yields ``(time, kind, detail)`` for each ``live.*``
+    instant in file order; problems are appended to ``problems``.  Times
+    must be numeric and non-decreasing (the plane emits at step
+    boundaries, in boundary order — any inversion means a sink reordered
+    them), ``live.alert`` instants must carry the alert fields and
+    alternate firing/resolved per monitor, and ``live.snapshot``
+    instants must carry their evaluation time.
+    """
+    last: int | float | None = None
     alert_states: dict[str, str] = {}
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            problems.append(f"line {lineno}: not valid JSON")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: not a JSON object")
-            continue
-        kind = record.get("kind", "")
-        if record.get("type") != "event" or not str(kind).startswith("live."):
-            continue
-        time = record.get("time")
+    for time, kind, detail in instants:
         if not isinstance(time, (int, float)):
-            problems.append(f"line {lineno}: live event missing numeric time")
+            problems.append(f"{kind} instant missing numeric time")
             continue
-        if last_time is not None and time < last_time:
+        if last is not None and time < last:
             problems.append(
-                f"line {lineno}: live events out of order "
-                f"(time {time} after {last_time})"
+                f"live instants out of order: {kind} at {time} after {last}"
             )
-        last_time = time
-        detail = record.get("detail")
+        last = time
         if not isinstance(detail, dict):
-            problems.append(f"line {lineno}: live event missing detail dict")
+            problems.append(f"{kind} at {time} missing detail dict")
             continue
         if kind == "live.alert":
             for field in ("monitor", "state", "fast_burn", "slow_burn"):
                 if field not in detail:
-                    problems.append(f"line {lineno}: live.alert missing {field!r}")
+                    problems.append(f"live.alert at {time} missing {field!r}")
             monitor = str(detail.get("monitor", "?"))
             state = detail.get("state")
             if state not in ("firing", "resolved"):
                 problems.append(
-                    f"line {lineno}: live.alert for {monitor} has bad "
-                    f"state {state!r}"
+                    f"live.alert at {time} for {monitor} has bad state {state!r}"
                 )
             else:
                 prev = alert_states.get(monitor)
                 expected = "firing" if prev in (None, "resolved") else "resolved"
                 if state != expected:
                     problems.append(
-                        f"line {lineno}: monitor {monitor}: {state!r} does "
-                        f"not alternate (previous state {prev!r})"
+                        f"monitor {monitor}: {state!r} at {time} does not "
+                        f"alternate (previous state {prev!r})"
                     )
                 alert_states[monitor] = state
         elif kind == "live.snapshot" and "time" not in detail:
-            problems.append(f"line {lineno}: live.snapshot missing 'time'")
-    return problems
+            problems.append(f"live.snapshot at {time} missing 'time'")

@@ -177,6 +177,45 @@ class TestNestedDeadlineInheritance:
         assert outer.seen == 25
 
 
+class TestTimeoutAndDeadlineOnOneCall:
+    """One call armed with both a per-hop timeout and a deadline.
+
+    Whichever expiry comes first settles the call; the other must
+    vanish without a trace record, a counter bump or a second resume.
+    """
+
+    @pytest.mark.parametrize(
+        "timeout, deadline, winner",
+        [(10, 20, "timeout"), (20, 10, "deadline")],
+    )
+    def test_first_expiry_wins_alone(self, timeout, deadline, winner):
+        kernel = Kernel(costs=FREE, seed=0, trace=True, spans=True)
+        inner = Inner(kernel, name="inner")  # body runs 0..100
+        caught = []
+
+        def client():
+            try:
+                yield inner.slow(timeout=timeout, deadline=deadline)
+            except (RemoteCallError, DeadlineExceeded) as exc:
+                caught.append((type(exc), kernel.clock.now))
+            # Outlive the loser's expiry tick and the discarded response:
+            # a second resume would cut this delay short or throw.
+            yield Delay(200)
+            caught.append(("slept", kernel.clock.now))
+
+        kernel.spawn(client, name="client")
+        kernel.run()
+        first = min(timeout, deadline)
+        expected = RemoteCallError if winner == "timeout" else DeadlineExceeded
+        assert caught == [(expected, first), ("slept", first + 200)]
+        assert kernel.trace.count("call_timeout") == (winner == "timeout")
+        assert kernel.trace.count("deadline_exceeded") == (winner == "deadline")
+        assert kernel.metrics.value("deadline.expired") == (winner == "deadline")
+        (root,) = kernel.obs.find_spans(kind="call", name="inner.slow")
+        assert root.attrs["status"] == winner
+        assert root.end == first
+
+
 class TestHalfOpenProbeRacesCrash:
     def run_once(self):
         kernel = Kernel(costs=FREE, seed=0, trace=True)

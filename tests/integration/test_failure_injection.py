@@ -74,6 +74,35 @@ class TestBodyFailures:
         with pytest.raises(RuntimeError, match="bare failure"):
             kernel.run_process(main)
 
+    def test_unmanaged_body_failure_starts_next_queued_call(self, kernel):
+        # A bounded entry with no manager: the second call queues behind
+        # the first.  When the first body fails, its slot release must
+        # start the queued call — nobody else ever will.
+        class Bare(AlpsObject):
+            @entry(returns=1, array=1)
+            def op(self, n):
+                if n == 0:
+                    raise RuntimeError("first fails")
+                return n
+
+        obj = Bare(kernel)
+        outcomes = {}
+
+        def first():
+            try:
+                yield obj.op(0)
+            except RuntimeError as exc:
+                outcomes["first"] = str(exc)
+
+        def second():
+            outcomes["second"] = yield obj.op(7)
+
+        def main():
+            yield Par(first, second)
+
+        kernel.run_process(main)
+        assert outcomes == {"first": "first fails", "second": 7}
+
     def test_sibling_calls_unaffected_by_failure(self):
         kernel = Kernel(costs=FREE)
         obj = self._crashy(kernel)
