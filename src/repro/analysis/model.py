@@ -34,6 +34,16 @@ def decorator_name(node: ast.expr) -> str | None:
     return None
 
 
+def call_name(node: ast.Call) -> str | None:
+    """Final identifier of a call's callee: ``f()``/``x.f()`` → ``f``."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
+
+
 def const_value(node: ast.expr | None, default: Any = UNKNOWN) -> Any:
     if node is None:
         return default

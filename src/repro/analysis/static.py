@@ -34,6 +34,7 @@ from .model import (
     UNKNOWN,
     EntryInfo,
     ObjectInfo,
+    call_name,
     const_value,
     extract_objects,
 )
@@ -233,7 +234,7 @@ class ManagerLinter:
         if isinstance(value, ast.Yield) and value.value is not None:
             return self._binding_for(value.value)
         if isinstance(value, ast.Call):
-            name = self._call_name(value)
+            name = call_name(value)
             if name in ("accept", "await_", "await_call"):
                 entry = self._guard_entry_name(value)
                 if entry is not None:
@@ -244,7 +245,7 @@ class ManagerLinter:
                 exact = True
                 for arg in value.args:
                     if isinstance(arg, ast.Call):
-                        arg_name = self._call_name(arg)
+                        arg_name = call_name(arg)
                         if arg_name in _ACCEPT_NAMES | _AWAIT_NAMES:
                             entry = self._guard_entry_name(arg)
                             if entry is None:
@@ -266,15 +267,6 @@ class ManagerLinter:
         return None
 
     @staticmethod
-    def _call_name(node: ast.Call) -> str | None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None
-
-    @staticmethod
     def _is_self_method(node: ast.Call) -> bool:
         return (
             isinstance(node.func, ast.Attribute)
@@ -288,7 +280,7 @@ class ManagerLinter:
         ``self.accept("x")`` puts the name first; ``AcceptGuard(self, "x")``
         and ``accept(self, "x")`` put it second.
         """
-        name = self._call_name(node)
+        name = call_name(node)
         args = node.args
         if self._is_self_method(node):
             candidates = args[:1]
@@ -322,7 +314,7 @@ class ManagerLinter:
         return len(rest)
 
     def _classify_call(self, node: ast.Call) -> None:
-        name = self._call_name(node)
+        name = call_name(node)
         if name is None:
             return
         is_self = self._is_self_method(node)
@@ -645,19 +637,11 @@ def _retry_policy_arg(call: ast.Call) -> ast.expr | None:
     return None
 
 
-def _callable_name(node: ast.Call) -> str | None:
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return None
-
-
 def _unbounded_policy_ctor(node: ast.expr | None) -> str | None:
     """Constructor name if *node* is ``Ctor(..., max_attempts=None)``."""
     if not isinstance(node, ast.Call):
         return None
-    ctor = _callable_name(node)
+    ctor = call_name(node)
     if ctor not in _POLICY_CTORS:
         return None
     unbounded = any(
@@ -730,7 +714,7 @@ class _RetryScopeWalker:
 
     def _check_expr(self, node: ast.AST, env: dict[str, str]) -> None:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and _callable_name(sub) == "retry":
+            if isinstance(sub, ast.Call) and call_name(sub) == "retry":
                 self._check_retry_site(sub, env)
 
     def _check_retry_site(self, node: ast.Call, env: dict[str, str]) -> None:

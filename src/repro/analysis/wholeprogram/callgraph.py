@@ -38,7 +38,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..model import ObjectInfo, const_value, extract_objects
+from ..model import ObjectInfo, call_name, const_value, extract_objects
 
 #: Guard constructor names, mirrored from the per-class linter.
 _ACCEPT_GUARDS = {"AcceptGuard", "ShedGuard"}
@@ -386,15 +386,6 @@ def build_call_graph(program: Program) -> CallGraph:
     return graph
 
 
-def _call_name(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
 class _ContextWalker:
     """Collects the wait edges created by one context's call sites.
 
@@ -483,7 +474,7 @@ class _ContextWalker:
     # -- call classification -----------------------------------------------
 
     def _classify_call(self, node: ast.Call) -> None:
-        name = _call_name(node)
+        name = call_name(node)
         if name is None:
             return
         func = node.func
@@ -680,7 +671,7 @@ class _ContextWalker:
         for arg in node.args:
             if not isinstance(arg, ast.Call):
                 continue
-            guard = _call_name(arg)
+            guard = call_name(arg)
             guard_names.append(guard)
             if guard in _AWAIT_GUARDS:
                 entry = None

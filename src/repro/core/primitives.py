@@ -142,36 +142,11 @@ class EntryCall(Syscall):
         call.timeout = self.timeout
         arm_expiry(kernel, call)
 
-        def deliver() -> None:
-            runtime.submit(call)
-
-        # When a fault injector is installed it owns routing: crashed
-        # targets, partitions, message loss and jitter all happen there.
-        if kernel.faults is not None:
-            kernel.faults.route_call(call, proc, deliver)
-            return
-
-        # Remote calls (objects placed on another node) acquire network
-        # latency on the request and response paths.
-        request_delay, response_delay = self.obj._call_latency(proc)
-        call.response_delay = response_delay
-        if request_delay:
-            if call.span is not None:
-                call.span.attrs["request_delay"] = request_delay
-                _tag_hop(call, proc)
-            kernel.post(kernel.clock.now + request_delay, deliver)
+        node = self.obj.node
+        if node is None:
+            runtime.submit(call)  # unplaced objects live outside the network
         else:
-            deliver()
-
-
-def _tag_hop(call: Call, proc: "Process") -> None:
-    """Label a remote call's root span with the RPC hop's endpoints."""
-    src = getattr(proc, "node", None)
-    dst = getattr(call.obj, "node", None)
-    if src is not None:
-        call.span.attrs["src_node"] = src.name
-    if dst is not None:
-        call.span.attrs["dst_node"] = dst.name
+            node.network.send_call(call, lambda: runtime.submit(call))
 
 
 def arm_expiry(kernel: "Kernel", call: Call) -> None:

@@ -276,8 +276,8 @@ class EntryRuntime:
         False for a combined call (§2.7), which never held a worker.  A
         caller is resumed at most once: if the call already expired (a
         timed call) or was failed by crash detection, the response is
-        discarded.  With a fault injector installed, the response leg
-        may itself be lost or jittered.
+        discarded.  A placed object's response travels back over the
+        network, which may lose or jitter it under a fault plan.
         """
         kernel = self.kernel
         call.state = CallState.DONE
@@ -290,8 +290,8 @@ class EntryRuntime:
         self.record(call)
         if call.caller_resumed:
             return
-        faults = kernel.faults
-        if faults is not None and faults.drop_response(call):
+        node = self.obj.node
+        if node is not None and node.network.send_response(call):
             # Response lost in the network; the caller recovers through a
             # timeout (plus retry), never through a silent double-resume.
             return

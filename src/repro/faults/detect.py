@@ -21,17 +21,18 @@ within a round is bounded by each target's own ping time, and a round
 lasts ``max`` — not ``sum`` — of the ping times.
 
 Consumers that must *react* to verdicts (the replication view monitor,
-a test) block on :meth:`Heartbeat.wait_for_events` instead of polling.
+a test) block on ``Select(hb.transitions.after(seen))`` instead of
+polling: ``transitions`` is an :class:`~repro.kernel.waiting.EventLog`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from ..core import AlpsObject, entry
 from ..errors import KernelError, RemoteCallError
-from ..kernel.syscalls import Delay, Par, Select
-from ..kernel.waiting import Guard, Ready, Waitable
+from ..kernel.syscalls import Delay, Par
+from ..kernel.waiting import EventLog
 from ..obs.spans import TransitionRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,32 +46,6 @@ class Beacon(AlpsObject):
     @entry(returns=1)
     def ping(self):
         return "ok"
-
-
-class HeartbeatEventGuard(Guard):
-    """Ready when the heartbeat logged transitions beyond ``seen``.
-
-    The heartbeat counterpart of
-    :class:`~repro.faults.runtime.FaultEventGuard`: lets a recovery
-    daemon sleep until a verdict changes instead of polling.
-    """
-
-    def __init__(self, heartbeat: "Heartbeat", seen: int) -> None:
-        self.heartbeat = heartbeat
-        self.seen = seen
-
-    def poll(self, kernel: "Kernel") -> Ready | None:
-        count = self.heartbeat.event_count
-        return Ready(count) if count > self.seen else None
-
-    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
-        return ready.value
-
-    def waitables(self) -> Iterable[Waitable]:
-        return (self.heartbeat.events,)
-
-    def describe(self) -> str:
-        return f"heartbeat-events(>{self.seen})"
 
 
 class Heartbeat:
@@ -108,11 +83,8 @@ class Heartbeat:
         #: compares equal to a plain 3-tuple but also carries the id of
         #: the probe span that observed it (None with spans disabled), so
         #: exported failover timelines connect detection to promotion.
-        self.transitions: list[tuple[int, str, str]] = []
-        #: Monotone count of status changes, and the waitable recovery
-        #: daemons block on to observe them.
-        self.event_count = 0
-        self.events = Waitable()
+        #: Recovery daemons sleep on ``transitions.after(seen)``.
+        self.transitions = EventLog(kernel, "heartbeat-events")
         self.process: "Process | None" = None
 
     def watch(self, name: str, obj: Any) -> None:
@@ -122,12 +94,6 @@ class Heartbeat:
 
     def is_up(self, name: str) -> bool:
         return self.status.get(name) == "up"
-
-    def wait_for_events(self, seen: int) -> Select:
-        """A blocking select that fires once transitions exceed ``seen``."""
-        select = Select(HeartbeatEventGuard(self, seen))
-        select.unwrap = True
-        return select
 
     def start(self) -> "Process":
         """Spawn the monitor daemon; returns its process.
@@ -161,15 +127,13 @@ class Heartbeat:
     def _record(self, name: str, verdict: str, span_id: int | None = None) -> None:
         if self.status.get(name) == verdict:
             return
-        self.transitions.append(
-            TransitionRecord((self.kernel.clock.now, name, verdict), span_id=span_id)
-        )
         self.status[name] = verdict
         self.kernel.metrics.counter(
             f"heartbeat.{verdict}", f"Heartbeat {verdict} transitions",
         ).inc()
-        self.event_count += 1
-        self.kernel.notify(self.events)
+        self.transitions.append(
+            TransitionRecord((self.kernel.clock.now, name, verdict), span_id=span_id)
+        )
 
     def _probe(self, name: str):
         """One target's ping for one round; records its own verdict."""

@@ -1,20 +1,27 @@
 """The fault-injection engine: a :class:`FaultPlan` made live.
 
 :func:`install` hooks a :class:`FaultRuntime` into the kernel and the
-network.  From then on the runtime owns every cross-node interaction:
+network.  The network carries every message leg
+(:meth:`~repro.net.network.Network.trip`); with a plan installed it
+consults this runtime on each one:
 
-* **entry calls** — ``EntryCall.handle`` delegates to :meth:`route_call`,
-  which applies crash detection, partitions, request loss and jitter; the
-  response leg passes through :meth:`drop_response` from
-  ``EntryRuntime.complete``, and crash detection ends a call through
-  the same ``Call.settle`` as every other completion route;
-* **messages** — ``NetSend`` asks :meth:`message_fates` for the delivery
-  schedule of each remote message (zero, one or two deliveries);
+* **legs** — ``trip`` loses legs to or from a downed node or over no
+  route, and draws the plan's seeded :meth:`fate` (loss, duplication,
+  jitter) for the rest; lost legs are traced and counted through
+  :meth:`drop`;
+* **entry calls** — ``Network.send_call`` fails calls to a
+  :meth:`target_down` object, tracks the call in flight and wraps its
+  delivery in :meth:`guarded`, so a crash between issue and arrival voids
+  it; crash detection ends a call through the same ``Call.settle`` as
+  every other completion route;
 * **work** — ``Charge`` asks :meth:`scale_work` to dilate ticks on
   degraded nodes;
 * **routing** — the network's Dijkstra cache keys on :attr:`epoch`, which
   bumps on every topology transition, and routes over
-  :meth:`filter_links`.
+  :meth:`filter_links`;
+* **transitions** — every crash, restart, link and partition change is
+  appended to :attr:`transitions`, an
+  :class:`~repro.kernel.waiting.EventLog` supervisors sleep on.
 
 Determinism: all transitions are scheduled through ``kernel.post`` at
 plan-specified virtual ticks, and every probabilistic decision draws from
@@ -36,43 +43,17 @@ reports the hang honestly as a ``DeadlockError`` at quiescence.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..core.calls import Call, CallState
 from ..errors import NetworkError, RemoteCallError
-from ..kernel.syscalls import Select
-from ..kernel.waiting import Guard, Ready, Waitable
+from ..kernel.waiting import EventLog
 from .plan import FaultPlan, NodeCrash, PartitionFault
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
     from ..kernel.process import Process
     from ..net.network import Network, Node
-
-
-class FaultEventGuard(Guard):
-    """Ready when the fault runtime logged transitions beyond ``seen``.
-
-    Used by supervisors to sleep until a crash or restart happens instead
-    of polling (which would keep the event queue non-empty forever).
-    """
-
-    def __init__(self, faults: "FaultRuntime", seen: int) -> None:
-        self.faults = faults
-        self.seen = seen
-
-    def poll(self, kernel: "Kernel") -> Ready | None:
-        count = self.faults.event_count
-        return Ready(count) if count > self.seen else None
-
-    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
-        return ready.value
-
-    def waitables(self) -> Iterable[Waitable]:
-        return (self.faults.events,)
-
-    def describe(self) -> str:
-        return f"fault-events(>{self.seen})"
 
 
 class FaultRuntime:
@@ -87,10 +68,9 @@ class FaultRuntime:
         #: Bumped on every topology transition; the network's route cache
         #: keys on it.
         self.epoch = 0
-        #: Monotone count of crash/restart/link/partition transitions, and
-        #: the waitable supervisors block on to observe them.
-        self.event_count = 0
-        self.events = Waitable()
+        #: (tick, kind, target) per crash/restart/link/partition
+        #: transition; supervisors sleep on ``transitions.after(seen)``.
+        self.transitions = EventLog(kernel, "fault-events")
         self._down_nodes: set[str] = set()
         self._down_links: set[tuple[str, str]] = set()
         self._partition_cuts: dict[PartitionFault, frozenset] = {}
@@ -152,22 +132,17 @@ class FaultRuntime:
             if part.heal_at is not None:
                 post(max(now, part.heal_at), lambda p=part: self._set_partition(p, active=False))
 
-    def _bump_events(self) -> None:
-        self.event_count += 1
-        self.kernel.notify(self.events)
-
-    def wait_for_events(self, seen: int) -> Select:
-        """A blocking select that fires once transitions exceed ``seen``."""
-        select = Select(FaultEventGuard(self, seen))
-        select.unwrap = True
-        return select
-
     # ------------------------------------------------------------------
     # Topology state
     # ------------------------------------------------------------------
 
     def node_up(self, name: str) -> bool:
         return name not in self._down_nodes
+
+    def target_down(self, obj: Any) -> bool:
+        """True while ``obj`` is crashed or its home node is down."""
+        node = obj.node
+        return obj._crashed or (node is not None and node.name in self._down_nodes)
 
     def _cut(self, a: str, b: str) -> bool:
         pair = (a, b) if a <= b else (b, a)
@@ -213,7 +188,7 @@ class FaultRuntime:
         for obj in list(node.objects.values()):
             if hasattr(obj, "_runtimes"):
                 self._crash_object(obj, node)
-        self._bump_events()
+        self.transitions.append((kernel.clock.now, "crash", name))
 
     def _restart_node(self, fault: NodeCrash) -> None:
         if fault.node not in self._down_nodes:
@@ -224,7 +199,7 @@ class FaultRuntime:
         self.c_node_restarts.inc()
         # Placed objects stay crashed until something (a Supervisor, or
         # the test harness) calls obj.restart().
-        self._bump_events()
+        self.transitions.append((self.kernel.clock.now, "restart", fault.node))
 
     def _set_link(self, a: str, b: str, down: bool) -> None:
         pair = (a, b) if a <= b else (b, a)
@@ -233,10 +208,9 @@ class FaultRuntime:
         else:
             self._down_links.discard(pair)
         self.epoch += 1
-        self.kernel.trace.record(
-            self.kernel.clock.now, "link", f"{pair[0]}--{pair[1]}", down=down
-        )
-        self._bump_events()
+        target = f"{pair[0]}--{pair[1]}"
+        self.kernel.trace.record(self.kernel.clock.now, "link", target, down=down)
+        self.transitions.append((self.kernel.clock.now, "link", target))
 
     def _set_partition(self, fault: PartitionFault, active: bool) -> None:
         if active:
@@ -256,7 +230,7 @@ class FaultRuntime:
             groups=[list(fault.group_a), list(fault.group_b)],
             healed=not active,
         )
-        self._bump_events()
+        self.transitions.append((self.kernel.clock.now, "partition", self.network.name))
 
     def _crash_object(self, obj: Any, node: "Node") -> None:
         """Take a placed object down, capturing its interrupted calls."""
@@ -303,101 +277,67 @@ class FaultRuntime:
             self._interrupted.setdefault(obj, []).extend(records)
         else:
             for call in records:
-                self._fail_later(
+                self.fail_later(
                     call,
                     f"call to {obj.alps_name}.{call.entry} interrupted by "
                     f"crash of node {node.name}",
-                    self.plan.detection_delay,
                 )
 
     # ------------------------------------------------------------------
-    # Entry-call routing
+    # Legs, in-flight calls and their failures (used by repro.net)
     # ------------------------------------------------------------------
 
-    def route_call(self, call: Call, caller: "Process", deliver: Callable[[], None]) -> None:
-        """Deliver (or lose, or fail) a freshly issued entry call."""
-        kernel = self.kernel
-        obj = call.obj
-        node = getattr(obj, "node", None)
-        src = getattr(caller, "node", None)
+    def fate(self, src: str, dst: str, latency: int, duplicates: bool) -> list[int]:
+        """One leg's delivery delays from the seeded RNG ([] means lost).
 
-        if getattr(obj, "_crashed", False) or (
-            node is not None and not self.node_up(node.name)
-        ):
-            self.c_calls_to_down.inc()
-            self._fail_later(
-                call,
-                f"{obj.alps_name} is down"
-                + (f" (node {node.name})" if node is not None else ""),
-                self.plan.detection_delay,
-            )
-            return
-        if node is None:
-            deliver()  # unplaced objects live outside the failure model
-            return
-        self._track(call)
-        if src is None or src is node:
-            deliver()  # co-located: no network between caller and object
-            return
-
-        latency = self.network.latency_or_none(src, node)
-        now = kernel.clock.now
-        if latency is None:
-            kernel.trace.record(
-                now, "drop", caller.name,
-                leg="request", entry=call.entry, obj=obj.alps_name, reason="no route",
-            )
-            self._fail_later(
-                call,
-                f"no route from {src.name} to {node.name} for call to "
-                f"{obj.alps_name}.{call.entry}",
-                self.plan.detection_delay,
-            )
-            return
-        dropped, _dup, jitter = self._fate(src.name, node.name, allow_duplicate=False)
+        Each matching rule draws loss, then (when ``duplicates``) a
+        duplicate; then every delivery draws its own jitter.  This draw
+        order is part of the replay contract.
+        """
+        dropped = duplicated = False
+        bound = 0
+        for rule in self.plan.rules_for(src, dst):
+            if rule.drop_rate and self.rng.random() < rule.drop_rate:
+                dropped = True
+            if duplicates and rule.duplicate_rate and self.rng.random() < rule.duplicate_rate:
+                duplicated = True
+            bound = max(bound, rule.jitter)
         if dropped:
-            self.c_dropped_requests.inc()
-            kernel.trace.record(
-                now, "drop", caller.name,
-                leg="request", entry=call.entry, obj=obj.alps_name, reason="loss",
-            )
-            return  # the caller recovers through its timeout (and retry)
-        call.response_delay = latency
-        fire = self._guarded(call, deliver)
-        when = now + latency + jitter()
-        if call.span is not None:
-            if when > now:
-                call.span.attrs["request_delay"] = when - now
-            call.span.attrs["src_node"] = src.name
-            call.span.attrs["dst_node"] = node.name
-        if when > now:
-            kernel.post(when, fire)
-        else:
-            fire()
+            return []
+        if duplicated:
+            self.c_duplicated_messages.inc()
+        return [
+            latency + (self.rng.randint(0, bound) if bound else 0)
+            for _ in range(2 if duplicated else 1)
+        ]
 
-    def _guarded(self, call: Call, deliver: Callable[[], None]) -> Callable[[], None]:
+    def drop(self, who: str, leg: str, reason: str, counter: Any = None, **where: Any) -> None:
+        """Trace one lost leg, counting it on ``counter`` when given."""
+        if counter is not None:
+            counter.inc()
+        self.kernel.trace.record(
+            self.kernel.clock.now, "drop", who, leg=leg, **where, reason=reason
+        )
+
+    def guarded(self, call: Call, deliver: Callable[[], None]) -> Callable[[], None]:
         """Wrap a delivery so crashes between issue and arrival void it."""
         epoch = call.delivery_epoch
 
         def fire() -> None:
             if call.caller_resumed or call.delivery_epoch != epoch:
                 return
-            obj = call.obj
-            node = getattr(obj, "node", None)
-            if getattr(obj, "_crashed", False) or (
-                node is not None and not self.node_up(node.name)
-            ):
-                self.kernel.trace.record(
-                    self.kernel.clock.now, "drop", call.caller.name,
-                    leg="request", entry=call.entry, obj=obj.alps_name,
-                    reason="target down",
+            if self.target_down(call.obj):
+                self.drop(
+                    call.caller.name, "request", "target down",
+                    entry=call.entry, obj=call.obj.alps_name,
                 )
                 return
             deliver()
 
         return fire
 
-    def _track(self, call: Call) -> None:
+    def track(self, call: Call) -> None:
+        """Remember a call to a placed object so a crash can capture it."""
         if len(self._inflight) > 64:
             self._inflight = [
                 c
@@ -407,43 +347,11 @@ class FaultRuntime:
             ]
         self._inflight.append(call)
 
-    def drop_response(self, call: Call) -> bool:
-        """Decide the response leg's fate; True means the response is lost.
-
-        Also refreshes ``call.response_delay`` against the current
-        topology (a route may have lengthened since the request).
-        """
-        obj = call.obj
-        node = getattr(obj, "node", None)
-        dst = getattr(call.caller, "node", None)
-        if node is None or dst is None or node is dst:
-            return False
-        if not self.node_up(dst.name):
-            return False  # the caller died with its node; resume is a no-op
-        kernel = self.kernel
-        latency = self.network.latency_or_none(node, dst)
-        if latency is None:
-            self.c_dropped_responses.inc()
-            kernel.trace.record(
-                kernel.clock.now, "drop", call.caller.name,
-                leg="response", entry=call.entry, obj=obj.alps_name, reason="no route",
-            )
-            return True
-        dropped, _dup, jitter = self._fate(node.name, dst.name, allow_duplicate=False)
-        if dropped:
-            self.c_dropped_responses.inc()
-            kernel.trace.record(
-                kernel.clock.now, "drop", call.caller.name,
-                leg="response", entry=call.entry, obj=obj.alps_name, reason="loss",
-            )
-            return True
-        call.response_delay = latency + jitter()
-        return False
-
-    def _fail_later(self, call: Call, reason: str, delay: int) -> None:
+    def fail_later(self, call: Call, reason: str) -> None:
+        """Fail ``call`` once the plan's ``detection_delay`` elapses."""
         kernel = self.kernel
         kernel.post(
-            kernel.clock.now + delay,
+            kernel.clock.now + self.plan.detection_delay,
             lambda: self._fail_call(call, reason),
             priority=call.caller.priority,
         )
@@ -457,59 +365,6 @@ class FaultRuntime:
             call.caller,
             RemoteCallError(reason, entry=call.entry, obj=call.obj.alps_name),
         )
-
-    # ------------------------------------------------------------------
-    # Message and work fates
-    # ------------------------------------------------------------------
-
-    def _fate(self, src: str, dst: str, allow_duplicate: bool):
-        """Draw this message's fate from the seeded RNG, in rule order."""
-        dropped = False
-        duplicated = False
-        jitter_bound = 0
-        for rule in self.plan.rules_for(src, dst):
-            if rule.drop_rate and self.rng.random() < rule.drop_rate:
-                dropped = True
-            if (
-                allow_duplicate
-                and rule.duplicate_rate
-                and self.rng.random() < rule.duplicate_rate
-            ):
-                duplicated = True
-            jitter_bound = max(jitter_bound, rule.jitter)
-
-        def jitter() -> int:
-            return self.rng.randint(0, jitter_bound) if jitter_bound else 0
-
-        return dropped, duplicated, jitter
-
-    def message_fates(
-        self, proc: "Process", src: "Node", dst: "Node", size: int = 1
-    ) -> list[int]:
-        """Delivery delays for one ``NetSend`` message ([] means lost)."""
-        kernel = self.kernel
-
-        def drop(reason: str) -> list[int]:
-            self.c_dropped_messages.inc()
-            kernel.trace.record(
-                kernel.clock.now, "drop", proc.name,
-                leg="message", src=src.name, dst=dst.name, reason=reason,
-            )
-            return []
-
-        if not self.node_up(dst.name) or not self.node_up(src.name):
-            return drop("node down")
-        latency = self.network.latency_or_none(src, dst, size=size)
-        if latency is None:
-            return drop("no route")
-        dropped, duplicated, jitter = self._fate(src.name, dst.name, allow_duplicate=True)
-        if dropped:
-            return drop("loss")
-        fates = [latency + jitter()]
-        if duplicated:
-            self.c_duplicated_messages.inc()
-            fates.append(latency + jitter())
-        return fates
 
     def scale_work(self, proc: "Process", ticks: int) -> int:
         """Dilate ``Charge``d work on a degraded node."""
@@ -556,10 +411,8 @@ class FaultRuntime:
         if call.caller_resumed or not caller.alive or not call.interrupted:
             return False
         obj = call.obj
-        node = getattr(obj, "node", None)
-        if getattr(obj, "_crashed", False) or (
-            node is not None and not self.node_up(node.name)
-        ):
+        node = obj.node
+        if self.target_down(obj):
             # Crashed again before we could re-queue: hold the call for
             # the next recovery round.
             self._interrupted.setdefault(obj, []).append(call)
@@ -575,7 +428,9 @@ class FaultRuntime:
         call.combined = False
         runtime = obj._entry_runtime(call.entry)
 
-        src = getattr(caller, "node", None)
+        # Redelivery pays the route's latency but draws no fate: a
+        # re-queued request is never lost or jittered.
+        src = caller.node
         request = 0
         call.response_delay = 0
         if node is not None and src is not None and src is not node:
@@ -595,8 +450,8 @@ class FaultRuntime:
             entry=call.entry, obj=obj.alps_name, requeued=True,
         )
         if node is not None:
-            self._track(call)
-        fire = self._guarded(call, lambda: runtime.submit(call))
+            self.track(call)
+        fire = self.guarded(call, lambda: runtime.submit(call))
         if request:
             kernel.post(kernel.clock.now + request, fire)
         else:

@@ -225,12 +225,6 @@ class Kernel:
         self.trace.record(self.clock.now, "spawn", proc.name, pid=pid, priority=priority)
         return proc
 
-    def process_count(self, alive_only: bool = True) -> int:
-        """Number of processes known to the kernel."""
-        if not alive_only:
-            return len(self._processes)
-        return sum(1 for p in self._processes.values() if p.alive)
-
     def processes(self) -> list[Process]:
         """Snapshot of all processes (alive and dead)."""
         return list(self._processes.values())

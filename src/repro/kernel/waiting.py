@@ -127,3 +127,49 @@ class Guard:
             return (1, 0)
         value = self.pri(ready.value) if callable(self.pri) else self.pri
         return (0, int(value))
+
+
+class EventLog(list):
+    """An append-only transition log that processes can sleep on.
+
+    A plain list of records (it compares equal to one) whose
+    :meth:`append` notifies a single :class:`Waitable`.  A daemon that has
+    handled the first ``seen`` records blocks in ``Select(log.after(seen))``
+    and wakes, receiving the new length, as soon as another record lands —
+    instead of polling, which would keep the event queue non-empty.
+    """
+
+    def __init__(self, kernel: "Kernel", name: str) -> None:
+        super().__init__()
+        self.kernel = kernel
+        self.name = name
+        self.changed = Waitable()
+
+    def append(self, record: Any) -> None:
+        super().append(record)
+        self.kernel.notify(self.changed)
+
+    def after(self, seen: int) -> "LogGuard":
+        """A guard ready once the log holds more than ``seen`` records."""
+        return LogGuard(self, seen)
+
+
+class LogGuard(Guard):
+    """Ready when an :class:`EventLog` grew past ``seen``; delivers its length."""
+
+    def __init__(self, log: EventLog, seen: int) -> None:
+        self.log = log
+        self.seen = seen
+
+    def poll(self, kernel: "Kernel") -> Ready | None:
+        count = len(self.log)
+        return Ready(count) if count > self.seen else None
+
+    def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> int:
+        return ready.value
+
+    def waitables(self) -> Iterable[Waitable]:
+        return (self.log.changed,)
+
+    def describe(self) -> str:
+        return f"{self.log.name}(>{self.seen})"

@@ -10,6 +10,14 @@ latency; message passing to channels homed on a node pays the same.
 
 Routing is static shortest-path (computed by Dijkstra at first use and
 cached; topology changes invalidate the cache).
+
+Every message leg goes through :meth:`Network.trip`: an entry call's
+request (:meth:`Network.send_call`) and response
+(:meth:`Network.send_response`), and each ``NetSend``.  The network
+counts each leg's hops in ``net.<name>.traffic``.  With a fault plan
+installed (:func:`repro.faults.install`) ``trip`` also consults the plan,
+so installing one only adds faults: an empty plan routes exactly like a
+perfect network.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..errors import NetworkError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.calls import Call
     from ..kernel.kernel import Kernel
     from ..kernel.process import Process
 
@@ -158,8 +167,8 @@ class Network:
     def latency_or_none(self, a: Node | str, b: Node | str, size: int = 1) -> int | None:
         """Like :meth:`latency`, but None instead of raising on no route.
 
-        Used by the fault injector, for which an unreachable destination
-        is a runtime condition (partition), not an API misuse.
+        Used under a fault plan, where an unreachable destination is a
+        runtime condition (partition), not an API misuse.
         """
         name_a = a.name if isinstance(a, Node) else a
         name_b = b.name if isinstance(b, Node) else b
@@ -185,6 +194,106 @@ class Network:
             name_b = b.name if isinstance(b, Node) else b
             raise NetworkError(f"no route from {name_a!r} to {name_b!r}")
         return result
+
+    # -- message legs -------------------------------------------------------
+
+    def trip(
+        self, src: Node, dst: Node, size: int = 1, duplicates: bool = False
+    ) -> tuple[str | None, int | None, list[int]]:
+        """Route one leg from ``src`` to ``dst``: ``(lost, latency, delays)``.
+
+        ``lost`` is None, or why the leg vanished ("node down", "no
+        route", "loss"); ``delays`` holds one delivery delay per copy that
+        arrives (two for a duplicated message, none when lost).  Without
+        a fault plan this is :meth:`latency`, so a missing route raises
+        :class:`NetworkError`.
+        """
+        faults = self.faults
+        if faults is None:
+            latency = self.latency(src, dst, size=size)
+            return None, latency, [latency]
+        if not (faults.node_up(src.name) and faults.node_up(dst.name)):
+            return "node down", None, []
+        latency = self.latency_or_none(src, dst, size=size)
+        if latency is None:
+            return "no route", None, []
+        delays = faults.fate(src.name, dst.name, latency, duplicates)
+        return (None if delays else "loss"), latency, delays
+
+    def send_call(self, call: "Call", deliver: Callable[[], None]) -> None:
+        """Carry an entry call's request leg to its object on this network.
+
+        ``deliver`` submits the call at the object.  Under a fault plan a
+        call to a crashed target fails after the detection delay, a lost
+        request leaves the caller to its timeout, and a crash between
+        issue and arrival voids the delivery.
+        """
+        kernel = self.kernel
+        faults = self.faults
+        obj = call.obj
+        src, dst = call.caller.node, obj.node
+        if faults is not None:
+            if faults.target_down(obj):
+                faults.c_calls_to_down.inc()
+                faults.fail_later(call, f"{obj.alps_name} is down (node {dst.name})")
+                return
+            faults.track(call)
+            deliver = faults.guarded(call, deliver)
+        if src is None or src is dst:
+            deliver()  # co-located: no network between caller and object
+            return
+        lost, latency, delays = self.trip(src, dst)
+        if lost == "loss":
+            # The caller recovers through its timeout (and retry).
+            faults.drop(
+                call.caller.name, "request", lost, faults.c_dropped_requests,
+                entry=call.entry, obj=obj.alps_name,
+            )
+            return
+        if lost:
+            faults.drop(
+                call.caller.name, "request", lost,
+                entry=call.entry, obj=obj.alps_name,
+            )
+            faults.fail_later(
+                call,
+                f"{lost} from {src.name} to {dst.name} for call to "
+                f"{obj.alps_name}.{call.entry}",
+            )
+            return
+        call.response_delay = latency
+        delay = delays[0]
+        if call.span is not None:
+            if delay:
+                call.span.attrs["request_delay"] = delay
+            call.span.attrs["src_node"] = src.name
+            call.span.attrs["dst_node"] = dst.name
+        if delay:
+            kernel.post(kernel.clock.now + delay, deliver)
+        else:
+            deliver()
+
+    def send_response(self, call: "Call") -> bool:
+        """Carry a completed call's response leg; True means it was lost.
+
+        On delivery ``call.response_delay`` is refreshed against the
+        current topology (a route may have lengthened since the request).
+        """
+        src, dst = call.obj.node, call.caller.node
+        if dst is None or dst is src:
+            return False
+        lost, _latency, delays = self.trip(src, dst)
+        if lost == "node down":
+            return False  # the caller died with its node; resume is a no-op
+        if lost:
+            faults = self.faults
+            faults.drop(
+                call.caller.name, "response", lost, faults.c_dropped_responses,
+                entry=call.entry, obj=call.obj.alps_name,
+            )
+            return True
+        call.response_delay = delays[0]
+        return False
 
     def diameter(self) -> int:
         """Largest shortest-path latency between any two nodes."""

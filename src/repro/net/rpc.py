@@ -2,12 +2,12 @@
 
 Remote *procedure calls* need no special syntax — placing an ALPS object
 on a node (``node.place(obj)``) makes every call from a process on a
-different node pay request/response latency automatically (the hook is
-``AlpsObject._call_latency``).  This module adds the message-passing
-half: ``NetSend`` delivers to a channel homed on another node after the
-network delay, so "a user can further communicate with an executing
-remote procedure using message passing on point-to-point channels" (§1)
-works across the simulated machine.
+different node pay request/response latency automatically (the legs are
+``Network.send_call`` and ``Network.send_response``).  This module adds
+the message-passing half: ``NetSend`` delivers to a channel homed on
+another node after the network delay, so "a user can further communicate
+with an executing remote procedure using message passing on
+point-to-point channels" (§1) works across the simulated machine.
 """
 
 from __future__ import annotations
@@ -69,30 +69,24 @@ class NetSend(Syscall):
 
         # One logical send == one sends tick, charged at send time.  Wire
         # transmissions (including fault-injected duplicates) are counted
-        # separately under rpc.messages; previously each *delivery* bumped
-        # sends, double-counting duplicated messages.
+        # separately under rpc.messages.
         kernel.stats.sends += 1
-        remote = home is not None and sender_node is not None and home is not sender_node
-        faults = kernel.faults
-        if remote:
-            rpc_messages = kernel.metrics.counter(
-                "rpc.messages", "Cross-node message transmissions (incl. duplicates)"
+        delays = [0]
+        if home is not None and sender_node is not None and home is not sender_node:
+            network = home.network
+            lost, _latency, delays = network.trip(
+                sender_node, home, self.size, duplicates=True
             )
-        if faults is not None and remote:
-            # The injector decides this message's fate: zero, one (possibly
-            # jittered) or two (duplicated) deliveries.
-            fates = faults.message_fates(proc, sender_node, home, self.size)
-            rpc_messages.inc(len(fates))
-            for delay in fates:
-                if delay:
-                    kernel.post(kernel.clock.now + delay, deliver)
-                else:
-                    deliver()
-        else:
-            delay = 0
-            if remote:
-                rpc_messages.inc()
-                delay = home.network.latency(sender_node, home, size=self.size)
+            if lost:
+                faults = network.faults
+                faults.drop(
+                    proc.name, "message", lost, faults.c_dropped_messages,
+                    src=sender_node.name, dst=home.name,
+                )
+            kernel.metrics.counter(
+                "rpc.messages", "Cross-node message transmissions (incl. duplicates)"
+            ).inc(len(delays))
+        for delay in delays:
             if delay:
                 kernel.post(kernel.clock.now + delay, deliver)
             else:

@@ -55,13 +55,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..channels import Channel, Receive, Send
 from ..errors import RemoteCallError, ReplicationError
-from ..faults.detect import Beacon, Heartbeat, HeartbeatEventGuard
+from ..faults.detect import Beacon, Heartbeat
 from ..faults.retry import FixedBackoff, RetryPolicy, retry
-from ..faults.runtime import FaultEventGuard
 from ..kernel.syscalls import Delay, Select
 from ..net.placement import choose_nodes
 from .log import WriteLog
-from .view import ReplicaView, ViewEventGuard
+from .view import ReplicaView
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.process import Process
@@ -318,9 +317,6 @@ class Replicated:
     def replicas(self) -> list[Any]:
         return [self._objects[n] for n in self.view.order]
 
-    def primary_object(self) -> Any:
-        return self._objects[self.view.primary]
-
     def node_of(self, rname: str) -> str:
         return self._nodes[rname].name
 
@@ -536,19 +532,19 @@ class Replicated:
         view_seen = 0
         while True:
             guards = [
-                HeartbeatEventGuard(self.heartbeat, hb_seen),
+                self.heartbeat.transitions.after(hb_seen),
                 # A failed call marking a replica down wakes us too, so a
                 # false suspicion is repaired (or a real primary death
                 # promoted) without waiting for a ping verdict to change.
-                ViewEventGuard(self.view, view_seen),
+                self.view.transitions.after(view_seen),
             ]
             if self.faults is not None:
-                guards.append(FaultEventGuard(self.faults, fault_seen))
+                guards.append(self.faults.transitions.after(fault_seen))
             yield Select(*guards)
-            hb_seen = self.heartbeat.event_count
-            view_seen = self.view.change_count
+            hb_seen = len(self.heartbeat.transitions)
+            view_seen = len(self.view.transitions)
             if self.faults is not None:
-                fault_seen = self.faults.event_count
+                fault_seen = len(self.faults.transitions)
             span = None
             if obs.enabled:
                 # Parent on the probe that raised the latest verdict, so

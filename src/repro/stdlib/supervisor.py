@@ -3,7 +3,7 @@
 The recovery half of ``repro.faults``: a Supervisor ``watch``es placed
 objects; when a node crash takes one down, the fault runtime *captures*
 the calls the crash interrupted instead of failing them.  The
-Supervisor's manager sleeps on the runtime's fault-event stream, and
+Supervisor's manager sleeps on the runtime's ``transitions`` log, and
 once the victim's node is back up it restarts the object's manager and
 re-queues every interrupted call — callers that were blocked mid-call
 simply receive their results late, never a ``RemoteCallError``.
@@ -24,7 +24,7 @@ from typing import Any
 from ..core import AlpsObject, entry, manager_process
 from ..errors import ObjectModelError
 from ..faults.runtime import FaultRuntime
-from ..kernel.syscalls import Delay
+from ..kernel.syscalls import Delay, Select
 
 
 class Supervisor(AlpsObject):
@@ -107,7 +107,7 @@ class Supervisor(AlpsObject):
     def mgr(self):
         seen = 0
         while True:
-            seen = yield self.faults.wait_for_events(seen)
+            _, seen = yield Select(self.faults.transitions.after(seen))
             if self.reaction_delay:
                 yield Delay(self.reaction_delay)
             self._recover_ready()

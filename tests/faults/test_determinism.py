@@ -85,14 +85,24 @@ def test_different_fault_seed_diverges():
 
 
 def test_fault_free_plan_matches_plain_run_outcomes():
-    """Installing an empty plan must not perturb application results."""
+    """Installing an empty plan must not perturb anything observable.
+
+    Both runs route every leg through the same network path, so results,
+    clock, kernel counters, trace, spans and traffic all agree — the
+    traffic count included, which covers each call's response leg.
+    """
+    from repro.channels import Receive
+    from repro.net import NetChannel, NetSend
+    from repro.obs import MemorySink
 
     def run(with_faults):
         kernel = Kernel(costs=FREE, seed=0, trace=True)
+        sink = kernel.obs.add_sink(MemorySink())
         net = ring(kernel, 4)
         d = net.node("n1").place(
             Dictionary(kernel, name="d", entries={"a": 1}, search_work=10)
         )
+        inbox = NetChannel(net.node("n3"), name="inbox")
         if with_faults:
             install(kernel, net, FaultPlan())
         results = []
@@ -100,12 +110,29 @@ def test_fault_free_plan_matches_plain_run_outcomes():
         def client():
             for _ in range(3):
                 results.append(((yield d.search("a")), kernel.clock.now))
+            yield NetSend(inbox, "done", size=2)
+
+        def reader():
+            results.append(((yield Receive(inbox)), kernel.clock.now))
 
         net.node("n0").spawn(client, name="client")
+        net.node("n3").spawn(reader, name="reader")
         kernel.run()
-        return results
+        return {
+            "results": results,
+            "clock": kernel.clock.now,
+            "stats": kernel.stats.snapshot(),
+            "trace": snapshot(kernel),
+            "spans": sink.spans(),
+            "traffic": net.traffic,
+        }
 
-    assert run(with_faults=True) == run(with_faults=False)
+    plain, empty_plan = run(with_faults=False), run(with_faults=True)
+    for key in plain:
+        assert empty_plan[key] == plain[key], key
+    # Non-vacuous: three request and three response hops plus one message.
+    assert plain["traffic"] == 7
+    assert any(s.get("attrs", {}).get("src_node") == "n0" for s in plain["spans"])
 
 
 def test_message_fate_draws_are_order_stable():

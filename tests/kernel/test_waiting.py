@@ -5,7 +5,7 @@ import pytest
 from repro.channels import Channel, ReceiveGuard, Send
 from repro.kernel import Delay, Kernel, Select
 from repro.kernel.costs import FREE
-from repro.kernel.waiting import Guard, Ready, Waitable
+from repro.kernel.waiting import EventLog, Guard, Ready, Waitable
 
 
 class TestWaitable:
@@ -80,3 +80,50 @@ class TestGuardDefaults:
         guard = Guard()
         guard.pri = lambda value: value * 2
         assert guard.effective_pri(Ready(10)) == (0, 20)
+
+
+class TestEventLog:
+    def test_after_not_ready_at_seen_length(self):
+        kernel = Kernel(costs=FREE)
+        log = EventLog(kernel, "events")
+        log.append("a")
+        assert log.after(1).poll(kernel) is None
+
+    def test_one_append_makes_it_ready_with_the_length(self):
+        kernel = Kernel(costs=FREE)
+        log = EventLog(kernel, "events")
+        log.append("a")
+        guard = log.after(1)
+        log.append("b")
+        ready = guard.poll(kernel)
+        assert ready is not None
+        assert guard.commit(kernel, None, ready) == 2
+
+    def test_blocked_select_wakes_at_the_append_tick(self):
+        kernel = Kernel(costs=FREE)
+        log = EventLog(kernel, "events")
+        woke = []
+
+        def sleeper():
+            _, count = yield Select(log.after(0))
+            woke.append((kernel.clock.now, count))
+
+        def writer():
+            yield Delay(7)
+            log.append((kernel.clock.now, "crash", "n1"))
+
+        kernel.spawn(sleeper)
+        kernel.spawn(writer)
+        kernel.run()
+        assert woke == [(7, 1)]
+
+    def test_describe_names_log_and_seen(self):
+        log = EventLog(Kernel(costs=FREE), "fault-events")
+        assert log.after(3).describe() == "fault-events(>3)"
+
+    def test_compares_equal_to_a_plain_list(self):
+        log = EventLog(Kernel(costs=FREE), "events")
+        assert log == []
+        log.append((1, "x"))
+        assert log == [(1, "x")]
+        assert [(1, "x")] == log
