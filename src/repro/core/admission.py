@@ -95,9 +95,13 @@ class ShedGuard(AcceptGuard):
     An :class:`~repro.core.primitives.AcceptGuard` whose acceptance
     condition is the queue-cap predicate; the manager recognizes the
     chosen arm by type and yields ``Reject`` instead of ``Start``.  The
-    guard sheds in attachment order (oldest queued call first), which
-    bounds the latency of the calls that *are* served: the backlog never
-    silently ages.
+    guard sheds the ATTACHED call in the lowest slot.  That is not
+    always the oldest queued call: under ``ordered`` arbitration a newer
+    call attaches to the lowest free slot, which may lie below the slot
+    of an older call still waiting there.
+
+    The predicate ignores the call it is handed, so :meth:`poll` tests
+    it once, not once per ATTACHED call.
 
     ``reason`` is the machine-readable shed reason the manager forwards
     to ``Reject(call, reason=guard.reason)``; subclasses override it so
@@ -117,6 +121,11 @@ class ShedGuard(AcceptGuard):
         super().__init__(obj, proc_name, when=over_cap(obj, proc_name, cap), pri=pri)
         self.cap = cap
 
+    def poll(self, kernel: Any) -> Ready | None:
+        if not self.when():
+            return None
+        return self._ready(None)
+
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (#P > {self.cap})"
 
@@ -129,7 +138,8 @@ class DeadlineSweepGuard(ShedGuard):
     detection — so serving it could not possibly help anyone.  The
     manager yields ``Reject`` and the slot frees at reject cost; since
     the caller is long gone, no error reaches it (``fail_caller`` is a
-    no-op after the first resume).  Sweeps in attachment order.
+    no-op after the first resume).  Sweeps the dead call in the lowest
+    slot first.
 
     Runs at :data:`SWEEP_PRI`, between ``await`` and the queue-cap shed
     arm: freeing a slot held by a corpse beats shedding a live call.
@@ -161,8 +171,8 @@ class CpuPressureGuard(ShedGuard):
     (:mod:`repro.kernel.sched`) are saturated, so every admitted body
     will sit behind a wall of unrelated work.  This guard reads the
     scheduling domain directly: it is ready when the total queued work
-    on the object's node exceeds ``depth`` ticks, and sheds in
-    attachment order like every other shed arm.
+    on the object's node exceeds ``depth`` ticks, and sheds the
+    ATTACHED call in the lowest slot like every other shed arm.
 
     On an unbounded kernel with no node domains the queue depth is
     always 0 and the guard never fires — admission decisions only
@@ -188,9 +198,8 @@ class CpuPressureGuard(ShedGuard):
         node = getattr(self.runtime.obj, "node", None)
         if kernel.cpu_scheduler.queue_depth(node) <= self.depth:
             return None
-        for call in self.runtime.acceptable(self.slot, None, all_matches=True):
-            return Ready(call, token=call)
-        return None
+        call = self.runtime.acceptable(self.slot, None)
+        return None if call is None else Ready(call, token=call)
 
     def describe(self) -> str:
         return f"shed {self.runtime.spec.name} (cpu queue > {self.depth})"

@@ -294,16 +294,19 @@ class AcceptGuard(Guard):
         self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
+        return self._ready(self.when)
+
+    def _ready(self, when: Callable[..., bool] | None) -> Ready | None:
         # A quantified guard (slot=None) with a pri clause ranges over the
         # whole array: "(i:1..N) accept P[i] ... pri E" selects the
         # candidate with the smallest priority value (§2.4).
         if self.pri is not None and callable(self.pri):
-            calls = self.runtime.acceptable(self.slot, self.when, all_matches=True)
+            calls = self.runtime.acceptable(self.slot, when, all_matches=True)
             if not calls:
                 return None
             call = min(calls, key=self.pri)
         else:
-            call = self.runtime.acceptable(self.slot, self.when)
+            call = self.runtime.acceptable(self.slot, when)
             if call is None:
                 return None
         return Ready(call, token=call)
@@ -311,7 +314,7 @@ class AcceptGuard(Guard):
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
         call._expect_state(CallState.ATTACHED)
-        call.state = CallState.ACCEPTED
+        self.runtime.move(call, CallState.ACCEPTED)
         call.accepted_at = kernel.clock.now
         kernel.stats.accepts += 1
         self.commit_cost = kernel.costs.accept
@@ -349,11 +352,13 @@ class AwaitGuard(Guard):
         self.commit_cost = 0
 
     def poll(self, kernel: "Kernel") -> Ready | None:
-        if self.only_call is not None:
-            calls = self.runtime.awaitable(self.slot, self.when, all_matches=True)
-            if self.only_call not in calls:
+        call = self.only_call
+        if call is not None:
+            if not self.runtime.holds(call, CallState.BODY_DONE):
                 return None
-            return Ready(self.only_call, token=self.only_call)
+            if self.when is not None and not self.when(*call.intercepted_results):
+                return None
+            return Ready(call, token=call)
         if self.pri is not None and callable(self.pri):
             calls = self.runtime.awaitable(self.slot, self.when, all_matches=True)
             if not calls:
@@ -368,7 +373,7 @@ class AwaitGuard(Guard):
     def commit(self, kernel: "Kernel", proc: "Process", ready: Ready) -> Call:
         call: Call = ready.token
         call._expect_state(CallState.BODY_DONE)
-        call.state = CallState.AWAITED
+        self.runtime.move(call, CallState.AWAITED)
         kernel.stats.awaits += 1
         self.commit_cost = kernel.costs.await_
         return call

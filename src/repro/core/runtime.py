@@ -6,6 +6,13 @@ requests than can be accommodated in the procedure array P, the remaining
 requests continue to wait", §2.5), and the two waitables managers block
 on: *arrival* (a call became attached, so ``accept`` may fire) and
 *completion* (a body became ready to terminate, so ``await`` may fire).
+
+The guard views read three slot-number bitmasks instead of scanning the
+array: the free slots, the ATTACHED slots and the BODY_DONE slots.
+``try_attach``, ``detach`` and ``reset`` write the free one, ``move`` and
+``reset`` the other two, so ``#P`` is a popcount plus the queue length
+and ``accept``/``await`` visit only the slots in the state they wait
+for, in ascending slot order.
 """
 
 from __future__ import annotations
@@ -39,11 +46,14 @@ class EntryRuntime:
         self.kernel = kernel
         self.pool = pool
         self.array_size = spec.resolve_array(obj)
-        #: ``slots[i]`` is the call currently attached to ``P[i]`` (through
-        #: its whole accept→finish life), or None when the element is free.
-        self.slots: list[Call | None] = [None] * self.array_size
         #: Calls waiting for a free array element.
         self.waiting: deque[Call] = deque()
+        #: ``slots[i]`` is the call currently attached to ``P[i]`` (through
+        #: its whole accept→finish life), or None when the element is free;
+        #: ``_free``, ``_attached`` and ``_body_done`` index them as
+        #: bitmasks (bit ``i`` is ``P[i]``).  Set by :meth:`reset`.
+        self.slots: list[Call | None]
+        self.reset()
         #: Notified when a call becomes ATTACHED (wakes ``accept`` guards).
         self.arrival = Waitable()
         #: Notified when a body reaches BODY_DONE (wakes ``await`` guards).
@@ -72,12 +82,7 @@ class EntryRuntime:
 
     def pending_count(self) -> int:
         """The paper's ``#P``: attached-but-not-accepted plus waiting."""
-        attached_unaccepted = sum(
-            1
-            for call in self.slots
-            if call is not None and call.state == CallState.ATTACHED
-        )
-        return attached_unaccepted + len(self.waiting)
+        return self._attached.bit_count() + len(self.waiting)
 
     def submit(self, call: Call) -> None:
         """A new invocation arrived: attach it or queue it.
@@ -103,21 +108,45 @@ class EntryRuntime:
 
         The element is "selected arbitrarily by the implementation"
         (§2.5); under ``ordered`` arbitration the lowest free index is
-        used, under ``random`` a seeded-random free index.
+        used, under ``random`` a seeded-random free index, drawn from the
+        ascending list of free indexes.
         """
-        free = [i for i, slot in enumerate(self.slots) if slot is None]
+        free = self._free
         if not free:
             return False
-        if self.kernel.arbitration == "random" and len(free) > 1:
-            index = self.kernel.rng.choice(free)
+        if self.kernel.arbitration == "random" and free & (free - 1):
+            index = self.kernel.rng.choice(_indices(free))
         else:
-            index = free[0]
-        call.slot = index
-        call.state = CallState.ATTACHED
-        call.attached_at = self.kernel.clock.now
+            index = (free & -free).bit_length() - 1
+        self._free ^= 1 << index
         self.slots[index] = call
+        call.slot = index
+        self.move(call, CallState.ATTACHED)
+        call.attached_at = self.kernel.clock.now
         self.kernel.notify(self.arrival)
         return True
+
+    def move(self, call: Call, state: CallState) -> None:
+        """Set ``call.state``, keeping the ATTACHED/BODY_DONE indexes in step.
+
+        Every state change that enters or leaves ATTACHED or BODY_DONE
+        goes through here.  A call no longer held by its slot (detached,
+        or forgotten by ``reset``) keeps its ``slot`` number but is not
+        indexed, so its later moves leave the indexes alone.
+        """
+        slot = call.slot
+        if slot is not None and self.slots[slot] is call:
+            bit = 1 << slot
+            old = call.state
+            if old is CallState.ATTACHED:
+                self._attached ^= bit
+            elif old is CallState.BODY_DONE:
+                self._body_done ^= bit
+            if state is CallState.ATTACHED:
+                self._attached |= bit
+            elif state is CallState.BODY_DONE:
+                self._body_done |= bit
+        call.state = state
 
     def _queue_event(self, kind: str, call: Call) -> None:
         """Sink-only instant marking a slot-queue boundary (§2.5 overflow).
@@ -153,7 +182,10 @@ class EntryRuntime:
                 f"{self.spec.name}[{call.slot}]: detach of a call that is "
                 f"not attached there"
             )
+        # Only ACCEPTED and later calls leave their slot, so of the indexes
+        # only the free one changes.
         self.slots[call.slot] = None
+        self._free |= 1 << call.slot
         if not self.waiting:
             return
         nxt = self.waiting.popleft()
@@ -166,25 +198,28 @@ class EntryRuntime:
     # Guard views
     # ------------------------------------------------------------------
 
+    def holds(self, call: Call, state: CallState) -> bool:
+        """True when ``call`` is attached to its slot and in ``state``."""
+        slot = call.slot
+        return slot is not None and self.slots[slot] is call and call.state is state
+
     def _matching(
         self,
-        state: CallState,
+        mask: int,
         slot: int | None,
         when: Callable[..., bool] | None,
         values: Callable[[Call], tuple],
     ) -> list[Call]:
-        candidates = (
-            self.slots
-            if slot is None
-            else [self.slots[slot]] if 0 <= slot < self.array_size else []
-        )
-        out = []
-        for call in candidates:
-            if call is None or call.state != state:
-                continue
-            if when is None or when(*values(call)):
-                out.append(call)
-        return out
+        """Calls on the slots of ``mask`` that satisfy ``when``.
+
+        Visits the slots in ascending order, as a scan of the array would.
+        """
+        if slot is not None:
+            mask &= 1 << slot if 0 <= slot < self.array_size else 0
+        calls = [self.slots[i] for i in _indices(mask)]
+        if when is None:
+            return calls
+        return [call for call in calls if when(*values(call))]
 
     def acceptable(
         self, slot: int | None, when: Callable[..., bool] | None, all_matches: bool = False
@@ -197,7 +232,7 @@ class EntryRuntime:
         (``all_matches=True``) to pick the minimum among them.
         """
         matches = self._matching(
-            CallState.ATTACHED, slot, when, lambda c: c.intercepted_args
+            self._attached, slot, when, lambda c: c.intercepted_args
         )
         if all_matches:
             return matches
@@ -208,7 +243,7 @@ class EntryRuntime:
     ) -> Any:
         """BODY_DONE call(s) matching ``slot`` and the result condition."""
         matches = self._matching(
-            CallState.BODY_DONE, slot, when, lambda c: c.intercepted_results
+            self._body_done, slot, when, lambda c: c.intercepted_results
         )
         if all_matches:
             return matches
@@ -254,7 +289,7 @@ class EntryRuntime:
             call.body_done_at = runtime.kernel.clock.now
             runtime.observe_service(call)
             if managed:
-                call.state = CallState.BODY_DONE
+                runtime.move(call, CallState.BODY_DONE)
                 runtime.kernel.notify(runtime.completion)
                 # The server process conceptually lives until the manager
                 # executes finish (§2.3: "both the finish P(...) and P
@@ -264,7 +299,8 @@ class EntryRuntime:
             else:
                 runtime.complete(call, results[: runtime.spec.returns], started=True)
 
-        call.state = CallState.STARTED
+        # An unmanaged bounded entry starts its call straight from ATTACHED.
+        self.move(call, CallState.STARTED)
         call.started_at = self.kernel.clock.now
         self.kernel.stats.starts += 1
         self.pool.dispatch(job, call)
@@ -339,13 +375,29 @@ class EntryRuntime:
             self.completed.append(call)
 
     def reset(self) -> None:
-        """Forget all in-flight calls (crash recovery; see ``AlpsObject.restart``)."""
+        """Forget all in-flight calls (crash recovery; see ``AlpsObject.restart``).
+
+        Every slot becomes free, so the indexes restart empty.
+        """
         self.slots = [None] * self.array_size
+        self._free = (1 << self.array_size) - 1
+        self._attached = 0
+        self._body_done = 0
         self.waiting.clear()
 
     def describe(self) -> str:
         return (
             f"{self.spec.name}[1..{self.array_size}] "
-            f"attached={sum(1 for s in self.slots if s is not None)} "
+            f"attached={self.array_size - self._free.bit_count()} "
             f"waiting={len(self.waiting)}"
         )
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out

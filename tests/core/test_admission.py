@@ -106,6 +106,30 @@ class TestShedGuard:
         assert all(s == "ok" for _, s, _ in outcomes)
         assert kernel.stats.calls_shed == 0
 
+    def test_shed_arm_takes_lowest_slot_not_oldest_call(self):
+        # P[0] holds x in its body until t=10; a attaches to P[1] at t=1
+        # and c queues at t=2.  When x finishes, c attaches to the freed
+        # P[0]: the newer call sits in the lower slot, and with #P = 2
+        # over the cap of 1 the shed arm takes c, not the older a.
+        kernel = Kernel(costs=FREE)
+        obj = Gated(kernel, work=10, cap=1, request_max=2)
+        outcomes = {}
+
+        def caller(name, at):
+            def body():
+                yield Delay(at)
+                try:
+                    outcomes[name] = ("ok", (yield obj.op(name)))
+                except AdmissionError:
+                    outcomes[name] = ("shed", kernel.clock.now)
+
+            return body
+
+        for name, at in (("x", 0), ("a", 1), ("c", 2)):
+            kernel.spawn(caller(name, at), name=name)
+        kernel.run()
+        assert outcomes == {"x": ("ok", "x"), "c": ("shed", 10), "a": ("ok", "a")}
+
     def test_over_cap_reads_pending(self, kernel):
         obj = Gated(kernel, cap=1)
         predicate = over_cap(obj, "op", 0)
